@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 
@@ -105,29 +104,11 @@ func proposeRound(c *cluster.Cluster, phase string, prop *relation.Relation, pre
 			if len(boundAttrs) == 0 {
 				idx = relation.New(prop.Name, attr)
 			}
-			binds := relation.New("bindings", prefix...)
-			var scratch relation.Relation
-			for {
-				e, ok, err := r.Recv()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				var dst *relation.Relation
-				switch e.Key {
-				case "idx":
-					dst = idx
-				case "bind":
-					dst = binds
-				default:
-					return fmt.Errorf("bigjoin propose: bad key %q", e.Key)
-				}
-				if err := relation.DecodeAppend(e.Payload, dst, &scratch); err != nil {
-					return cluster.CorruptPayload("bigjoin exchange", err)
-				}
+			in := []*relation.Relation{idx, relation.New("bindings", prefix...)}
+			if err := recvBySender(r, "bigjoin exchange", []string{"idx", "bind"}, in); err != nil {
+				return err
 			}
+			binds := in[1]
 			// Build candidate lists per bound-key, aborting as soon as the
 			// proposals alone exceed the budget (SparkSQL/BigJoin-style
 			// blowups must fail fast, not after materializing everything).
@@ -215,33 +196,11 @@ func verifyRound(c *cluster.Cluster, phase string, ver *relation.Relation, prefi
 			return nil
 		},
 		func(w *cluster.Worker, r cluster.StreamReceiver) error {
-			var idx, binds *relation.Relation
-			var scratch relation.Relation
-			for {
-				e, ok, err := r.Recv()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				if err := relation.DecodeInto(e.Payload, &scratch); err != nil {
-					return cluster.CorruptPayload("bigjoin exchange", err)
-				}
-				var dst **relation.Relation
-				switch e.Key {
-				case "idx":
-					dst = &idx
-				case "bind":
-					dst = &binds
-				default:
-					return fmt.Errorf("bigjoin verify: bad key %q", e.Key)
-				}
-				if *dst == nil {
-					*dst = relation.New(scratch.Name, scratch.Attrs...)
-				}
-				(*dst).AppendAll(&scratch)
+			in := make([]*relation.Relation, 2)
+			if err := recvBySender(r, "bigjoin exchange", []string{"idx", "bind"}, in); err != nil {
+				return err
 			}
+			idx, binds := in[0], in[1]
 			if binds == nil {
 				w.Rels["bindings"] = relation.New("bindings")
 				return nil

@@ -3,7 +3,9 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strconv"
+	"strings"
 
 	"adj/internal/cluster"
 	"adj/internal/relation"
@@ -67,31 +69,11 @@ func distributedJoin(c *cluster.Cluster, phase string, aName string, aAttrs []st
 			return nil
 		},
 		func(w *cluster.Worker, r cluster.StreamReceiver) error {
-			left := relation.New(aName, aAttrs...)
-			right := relation.New(bName, bAttrs...)
-			var scratch relation.Relation
-			for {
-				e, ok, err := r.Recv()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				var dst *relation.Relation
-				switch e.Key[0] {
-				case 'L':
-					dst = left
-				case 'R':
-					dst = right
-				default:
-					return fmt.Errorf("distributedJoin: bad key %q", e.Key)
-				}
-				if err := relation.DecodeAppend(e.Payload, dst, &scratch); err != nil {
-					return cluster.CorruptPayload("binary join exchange", err)
-				}
+			in := []*relation.Relation{relation.New(aName, aAttrs...), relation.New(bName, bAttrs...)}
+			if err := recvBySender(r, "binary join exchange", []string{"L", "R"}, in); err != nil {
+				return err
 			}
-			res, err := relation.HashJoinLimit(left, right, int(budget))
+			res, err := relation.HashJoinLimit(in[0], in[1], int(budget))
 			if err != nil {
 				return ErrBudget
 			}
@@ -143,20 +125,11 @@ func distributedCross(c *cluster.Cluster, phase string, aName string, aAttrs []s
 			})
 		},
 		func(w *cluster.Worker, r cluster.StreamReceiver) error {
-			smallRel := relation.New(small, smallAttrs...)
-			var scratch relation.Relation
-			for {
-				e, ok, err := r.Recv()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				if err := relation.DecodeAppend(e.Payload, smallRel, &scratch); err != nil {
-					return cluster.CorruptPayload("binary join exchange", err)
-				}
+			in := []*relation.Relation{relation.New(small, smallAttrs...)}
+			if err := recvBySender(r, "binary join exchange", []string{"B"}, in); err != nil {
+				return err
 			}
+			smallRel := in[0]
 			bigRel, ok := w.Rels[big]
 			if !ok {
 				bigRel = relation.New(big, bigAttrs...)
@@ -213,35 +186,66 @@ func distributedSemijoin(c *cluster.Cluster, phase string, aName string, aAttrs 
 			return nil
 		},
 		func(w *cluster.Worker, r cluster.StreamReceiver) error {
-			left := relation.New(aName, aAttrs...)
-			keys := relation.New(bName, shared...)
-			var scratch relation.Relation
-			for {
-				e, ok, err := r.Recv()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				var dst *relation.Relation
-				switch e.Key {
-				case "L":
-					dst = left
-				case "R":
-					dst = keys
-				default:
-					return fmt.Errorf("distributedSemijoin: bad key %q", e.Key)
-				}
-				if err := relation.DecodeAppend(e.Payload, dst, &scratch); err != nil {
-					return cluster.CorruptPayload("semijoin exchange", err)
-				}
+			in := []*relation.Relation{relation.New(aName, aAttrs...), relation.New(bName, shared...)}
+			if err := recvBySender(r, "semijoin exchange", []string{"L", "R"}, in); err != nil {
+				return err
 			}
-			res := left.Semijoin(keys, shared)
+			res := in[0].Semijoin(in[1], shared)
 			res.Name = outName
 			w.Rels[outName] = res
 			return nil
 		})
+}
+
+// recvBySender drains r and decodes, for each i, the chunks whose key is
+// keys[i] (or starts with keys[i]+"/") onto dsts[i] in ascending sender
+// order; any other key is an error. A nil dsts[i] takes the schema of its
+// first chunk and stays nil when none arrives. Payloads are copied as they
+// land (transports reuse receive buffers) and decoded once the stream
+// ends. Every transport delivers one sender's chunks in send order, so the
+// rows come out exactly as a sequential (materialized) exchange orders
+// them, whatever the goroutine schedule interleaves on the wire. what
+// names the exchange in errors.
+func recvBySender(r cluster.StreamReceiver, what string, keys []string, dsts []*relation.Relation) error {
+	type chunk struct {
+		from    int
+		payload []byte
+	}
+	slots := make([][]chunk, len(keys))
+	for {
+		e, ok, err := r.Recv()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		slot := -1
+		for i, k := range keys {
+			if e.Key == k || strings.HasPrefix(e.Key, k+"/") {
+				slot = i
+				break
+			}
+		}
+		if slot < 0 {
+			return fmt.Errorf("%s: bad key %q", what, e.Key)
+		}
+		slots[slot] = append(slots[slot], chunk{e.From, append([]byte(nil), e.Payload...)})
+	}
+	var scratch relation.Relation
+	for i, chunks := range slots {
+		sort.SliceStable(chunks, func(x, y int) bool { return chunks[x].from < chunks[y].from })
+		for _, c := range chunks {
+			if err := relation.DecodeInto(c.payload, &scratch); err != nil {
+				return cluster.CorruptPayload(what, err)
+			}
+			if dsts[i] == nil {
+				dsts[i] = relation.New(scratch.Name, scratch.Attrs...)
+			}
+			dsts[i].AppendAll(&scratch)
+		}
+	}
+	return nil
 }
 
 // partWeight is the message weight of a partition chunk: the first chunk

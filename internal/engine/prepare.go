@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"adj/internal/costmodel"
@@ -11,7 +12,6 @@ import (
 	"adj/internal/optimizer"
 	"adj/internal/plan"
 	"adj/internal/relation"
-	"adj/internal/sampling"
 )
 
 // PreparedPlan is the cached planning artifact of a prepared query: the
@@ -103,7 +103,7 @@ func preparedFor(cfg Config, engineName string) *PreparedPlan {
 // by direct runs (charged to their optimize phase) and Prepare.
 func adjPlan(q hypergraph.Query, rels []*relation.Relation, cfg Config, coOptimize bool) (*optimizer.Plan, error) {
 	params := defaultParams(cfg)
-	params.BetaTrie = costmodel.CalibrateBetaTrie(1 << 14)
+	params.BetaTrie = betaTrie()
 	opt, err := optimizer.New(q, rels, optimizer.Options{
 		Params:  params,
 		Samples: cfg.Samples,
@@ -113,11 +113,10 @@ func adjPlan(q hypergraph.Query, rels []*relation.Relation, cfg Config, coOptimi
 	if err != nil {
 		return nil, err
 	}
-	// β for raw relations from the sampler's own measured rate (§III-B): a
-	// probe estimate ensures the optimizer sees machine-scaled constants.
-	probe, err := sampling.EstimateCardinality(rels, q.Attrs(), sampling.Config{
-		Samples: cfg.Samples / 4, Seed: cfg.Seed, MaxDepth: 2, Cancel: cancelOf(cfg),
-	})
+	// β for raw relations from the sampler's own measured rate (§III-B).
+	// Known defect: opt already holds its own copy of params, so the
+	// measured β below never reaches the plan choice (see ROADMAP).
+	probe, err := opt.Probe()
 	if err == nil && probe.ExtensionsPerSecond() > 0 {
 		params.BetaBase = probe.ExtensionsPerSecond()
 		if params.BetaTrie < 2*params.BetaBase {
@@ -132,6 +131,11 @@ func adjPlan(q hypergraph.Query, rels []*relation.Relation, cfg Config, coOptimi
 	}
 	return opt.CommunicationFirst()
 }
+
+// betaTrie is β for pre-computed tries, pre-measured on a calibration trie
+// (§III-B: "pre-measure β_i"). It is a property of the machine, not of the
+// query, so it is measured once per process rather than on every plan.
+var betaTrie = sync.OnceValue(func() float64 { return costmodel.CalibrateBetaTrie(1 << 14) })
 
 // commFirstPlan is the HCubeJ family's order selection over all n! orders
 // by estimated intermediate size (Fig. 8's "All-Selected").

@@ -105,10 +105,17 @@ func BuildTries(rels []*relation.Relation, order []string) []*trie.Trie {
 	}
 	out := make([]*trie.Trie, len(rels))
 	for i, r := range rels {
-		attrs := append([]string(nil), r.Attrs...)
-		sort.Slice(attrs, func(x, y int) bool { return pos[attrs[x]] < pos[attrs[y]] })
-		out[i] = trie.Build(r, attrs)
+		out[i] = trie.Build(r, TrieAttrs(r.Attrs, pos))
 	}
+	return out
+}
+
+// TrieAttrs returns a copy of attrs sorted by position in the global order
+// (pos maps each order attribute to its index): the level order of the
+// relation's trie under that order.
+func TrieAttrs(attrs []string, pos map[string]int) []string {
+	out := append([]string(nil), attrs...)
+	sort.Slice(out, func(x, y int) bool { return pos[out[x]] < pos[out[y]] })
 	return out
 }
 

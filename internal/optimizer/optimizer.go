@@ -41,6 +41,10 @@ type Optimizer struct {
 	tCache map[string]float64
 	// bagCache memoizes |Rv| estimates by bag ID.
 	bagCache map[int]float64
+	// estimate is the one sampling path of every estimate the optimizer
+	// issues: a shared sampling.Estimator, so each bound relation's trie is
+	// built once per attribute order for the optimizer's lifetime.
+	estimate func(rels []*relation.Relation, order []string, cfg sampling.Config) (sampling.Estimate, error)
 	// SampleOps / SampleSeconds accumulate measured sampling work, exposed
 	// so engines can charge it to their Optimization phase and derive β.
 	SampleOps     int64
@@ -65,7 +69,18 @@ func New(q hypergraph.Query, rels []*relation.Relation, opts Options) (*Optimize
 		attrs:    q.Attrs(),
 		tCache:   make(map[string]float64),
 		bagCache: make(map[int]float64),
+		estimate: sampling.NewEstimator().Estimate,
 	}, nil
+}
+
+// Probe is the β probe of §III-B: a shallow (depth-2) estimate over every
+// bound relation in the query's canonical attribute order, whose measured
+// extension rate scales β for raw relations. Issued before any other
+// estimate, it pays for the trie builds the later estimates reuse.
+func (o *Optimizer) Probe() (sampling.Estimate, error) {
+	return o.estimate(o.Rels, o.attrs, sampling.Config{
+		Samples: o.opts.Samples / 4, Seed: o.opts.Seed, MaxDepth: 2, Cancel: o.opts.Cancel,
+	})
 }
 
 // SubsetSize estimates |T_S|: the number of Leapfrog partial bindings over
@@ -88,7 +103,7 @@ func (o *Optimizer) SubsetSize(attrSet []string) float64 {
 	if samples > 150 {
 		samples = 150
 	}
-	est, err := sampling.EstimateCardinality(o.Rels, order, sampling.Config{
+	est, err := o.estimate(o.Rels, order, sampling.Config{
 		Samples:         samples,
 		Seed:            o.opts.Seed,
 		MaxDepth:        len(attrSet),
@@ -141,7 +156,7 @@ func (o *Optimizer) BagSize(id int) float64 {
 		for i, ai := range b.Atoms {
 			rels[i] = o.Rels[ai]
 		}
-		est, err := sampling.EstimateCardinality(rels, bagOrder(rels), sampling.Config{
+		est, err := o.estimate(rels, bagOrder(rels), sampling.Config{
 			Samples: o.opts.Samples, Seed: o.opts.Seed, Cancel: o.opts.Cancel,
 		})
 		if err == nil {
@@ -237,7 +252,9 @@ func (o *Optimizer) CoOptimize() (*Plan, error) {
 			preCost    float64
 		}
 		var best *candidate
-		for v := range remaining {
+		// Ascending bag IDs: a cost tie goes to the lowest ID, so the plan
+		// does not depend on map iteration order.
+		for _, v := range keys(remaining) {
 			if !o.prefixConnected(remaining, v) {
 				continue
 			}

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"adj/internal/costmodel"
@@ -9,6 +10,7 @@ import (
 	"adj/internal/hypergraph"
 	"adj/internal/leapfrog"
 	"adj/internal/relation"
+	"adj/internal/sampling"
 	"adj/internal/testutil"
 )
 
@@ -226,4 +228,72 @@ func TestBagRelationName(t *testing.T) {
 	if plan.String() == "" {
 		t.Fatal("empty plan string")
 	}
+}
+
+func TestSharedEstimatorMatchesFreshEstimates(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	edges := testutil.RandEdges(rng, "E", 500, 30)
+	for _, q := range hypergraph.AllQueries()[:8] {
+		o := newOpt(t, q, q.BindGraph(edges), 4)
+		shared := o.estimate
+		calls := 0
+		o.estimate = func(rels []*relation.Relation, order []string, cfg sampling.Config) (sampling.Estimate, error) {
+			calls++
+			got, err := shared(rels, order, cfg)
+			want, werr := sampling.EstimateCardinality(rels, order, cfg)
+			if err != nil || werr != nil {
+				t.Fatalf("%s %v: errors %v / %v", q.Name, order, err, werr)
+			}
+			if got.Cardinality != want.Cardinality || got.ValA != want.ValA || got.WorkOps != want.WorkOps ||
+				got.Samples != want.Samples || !reflect.DeepEqual(got.LevelCounts, want.LevelCounts) ||
+				!reflect.DeepEqual(got.LevelOps, want.LevelOps) {
+				t.Fatalf("%s %v: shared estimate %+v, fresh %+v", q.Name, order, got, want)
+			}
+			return got, err
+		}
+		// The engine's order: the β probe first, then planning.
+		if _, err := o.Probe(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.CoOptimize(); err != nil {
+			t.Fatal(err)
+		}
+		if calls < 2 {
+			t.Fatalf("%s: only %d estimates issued", q.Name, calls)
+		}
+	}
+}
+
+func TestCoOptimizePlanIndependentOfEstimatorMemo(t *testing.T) {
+	// Fixed cost constants (no timing calibration): the plan depends on the
+	// sampled counts alone, so sharing tries across estimates must not move
+	// it.
+	edges := dataset.Load("WT", 0.05)
+	precomputed := 0
+	for _, q := range hypergraph.AllQueries() {
+		rels := q.BindGraph(edges)
+		shared := newOpt(t, q, rels, 8)
+		fresh := newOpt(t, q, rels, 8)
+		fresh.estimate = sampling.EstimateCardinality
+		var plans [2]*Plan
+		for i, o := range []*Optimizer{shared, fresh} {
+			if _, err := o.Probe(); err != nil {
+				t.Fatal(err)
+			}
+			p, err := o.CoOptimize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans[i] = p
+		}
+		a, b := plans[0], plans[1]
+		if !reflect.DeepEqual(a.Precompute, b.Precompute) || !reflect.DeepEqual(a.Traversal, b.Traversal) ||
+			!reflect.DeepEqual(a.AttrOrder, b.AttrOrder) || a.Est != b.Est {
+			t.Fatalf("%s: shared-estimator plan %s differs from fresh-estimate plan %s", q.Name, a, b)
+		}
+		if len(a.Precompute) > 0 {
+			precomputed++
+		}
+	}
+	t.Logf("%d of %d catalog plans pre-compute a bag", precomputed, len(hypergraph.AllQueries()))
 }

@@ -11,10 +11,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"time"
 
 	"adj/internal/leapfrog"
 	"adj/internal/relation"
+	"adj/internal/trie"
 )
 
 // Config tunes an estimation run.
@@ -98,8 +100,40 @@ func ValA(rels []*relation.Relation, attr string) []relation.Value {
 }
 
 // EstimateCardinality runs the sequential sampler over bound relations for
-// a given attribute order.
+// a given attribute order: the one-shot form of Estimator.Estimate.
 func EstimateCardinality(rels []*relation.Relation, order []string, cfg Config) (Estimate, error) {
+	return NewEstimator().Estimate(rels, order, cfg)
+}
+
+// Estimator is the sequential sampler with a trie memo: it holds at most
+// one trie per (relation, attribute order), so the many estimates a planner
+// issues over the same bound relations — every |T_S| prefix, every bag, the
+// β probe — build each input once. val(A) is read off the trie roots: under
+// an order starting with A, every relation containing A has A as its first
+// trie attribute, so its root level is Π_A R, sorted and deduplicated. The
+// memo assumes the relations are not modified while the Estimator lives.
+// Not safe for concurrent use.
+type Estimator struct {
+	tries map[trieKey]*trie.Trie
+	// builds counts trie constructions (each memo miss builds exactly one).
+	builds int
+}
+
+// trieKey identifies one memoized trie: the relation and its attributes in
+// trie level order, NUL-joined.
+type trieKey struct {
+	rel   *relation.Relation
+	attrs string
+}
+
+// NewEstimator returns an Estimator with an empty memo.
+func NewEstimator() *Estimator {
+	return &Estimator{tries: make(map[trieKey]*trie.Trie)}
+}
+
+// Estimate samples the join of rels under order. Estimates are identical to
+// a fresh EstimateCardinality's (only Seconds, the measured time, differs).
+func (e *Estimator) Estimate(rels []*relation.Relation, order []string, cfg Config) (Estimate, error) {
 	if len(order) == 0 {
 		return Estimate{}, fmt.Errorf("sampling: empty order")
 	}
@@ -107,13 +141,24 @@ func EstimateCardinality(rels []*relation.Relation, order []string, cfg Config) 
 		cfg.Samples = 1000
 	}
 	t0 := time.Now()
-	vals := ValA(rels, order[0])
+	pos := make(map[string]int, len(order))
+	for i, a := range order {
+		pos[a] = i
+	}
+	// The tries of the relations containing A come first: their roots give
+	// val(A), and an empty val(A) needs no other trie.
+	tries := make([]*trie.Trie, len(rels))
+	vals := e.rootValA(rels, pos, order[0], tries)
 	est := Estimate{ValA: len(vals), LevelCounts: make([]float64, len(order)), LevelOps: make([]int64, len(order))}
 	if len(vals) == 0 {
 		est.Seconds = time.Since(t0).Seconds()
 		return est, nil
 	}
-	tries := leapfrog.BuildTries(rels, order)
+	for i, r := range rels {
+		if tries[i] == nil {
+			tries[i] = e.trie(r, pos)
+		}
+	}
 	ext, err := leapfrog.NewExtender(tries, order)
 	if err != nil {
 		return Estimate{}, err
@@ -127,6 +172,34 @@ func EstimateCardinality(rels []*relation.Relation, order []string, cfg Config) 
 	est.absorb(acc, len(vals), cfg.Samples)
 	est.Seconds = time.Since(t0).Seconds()
 	return est, nil
+}
+
+// trie returns r's trie under the order pos describes, building it on the
+// first request only.
+func (e *Estimator) trie(r *relation.Relation, pos map[string]int) *trie.Trie {
+	attrs := leapfrog.TrieAttrs(r.Attrs, pos)
+	k := trieKey{rel: r, attrs: strings.Join(attrs, "\x00")}
+	t, ok := e.tries[k]
+	if !ok {
+		t = trie.Build(r, attrs)
+		e.tries[k] = t
+		e.builds++
+	}
+	return t
+}
+
+// rootValA fills tries[i] for every relation containing attr, the first
+// attribute under pos, and returns val(attr) as the intersection of those
+// tries' root levels.
+func (e *Estimator) rootValA(rels []*relation.Relation, pos map[string]int, attr string, tries []*trie.Trie) []relation.Value {
+	var lists [][]relation.Value
+	for i, r := range rels {
+		if r.HasAttr(attr) {
+			tries[i] = e.trie(r, pos)
+			lists = append(lists, tries[i].Levels[0].Vals)
+		}
+	}
+	return relation.IntersectAllSorted(lists)
 }
 
 // Accum is the raw per-level tally of a batch of samples; the distributed

@@ -1,16 +1,19 @@
 package sampling
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"adj/internal/cluster"
+	"adj/internal/ghd"
 	"adj/internal/hypergraph"
 	"adj/internal/leapfrog"
 	"adj/internal/relation"
 	"adj/internal/testutil"
+	"adj/internal/trie"
 )
 
 func TestSampleSize(t *testing.T) {
@@ -214,4 +217,88 @@ func ratio(a, b float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Max(a, b) / math.Min(a, b)
+}
+
+// sameEstimate fails unless a and b agree on every sampled quantity (all
+// but Seconds, the measured time).
+func sameEstimate(t *testing.T, what string, a, b Estimate) {
+	t.Helper()
+	if a.Cardinality != b.Cardinality || a.ValA != b.ValA || a.WorkOps != b.WorkOps || a.Samples != b.Samples ||
+		!reflect.DeepEqual(a.LevelCounts, b.LevelCounts) || !reflect.DeepEqual(a.LevelOps, b.LevelOps) {
+		t.Fatalf("%s: estimates differ:\n got %+v\nwant %+v", what, a, b)
+	}
+}
+
+func TestEstimatorMemoMatchesOneShot(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	edges := testutil.RandEdges(rng, "E", 300, 25)
+	for _, q := range hypergraph.AllQueries()[:8] {
+		rels := q.BindGraph(edges)
+		e := NewEstimator()
+		var firstPass int
+		// The second pass re-issues every order: all of them must hit.
+		for pass := 0; pass < 2; pass++ {
+			for _, order := range ghd.AllAttrOrders(q.Attrs()) {
+				for _, depth := range []int{0, 2} {
+					cfg := Config{Samples: 30, Seed: 5, MaxDepth: depth, PerSampleBudget: 400}
+					got, err := e.Estimate(rels, order, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := EstimateCardinality(rels, order, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameEstimate(t, fmt.Sprintf("%s %v depth %d", q.Name, order, depth), got, want)
+				}
+			}
+			if pass == 0 {
+				firstPass = e.builds
+			}
+		}
+		if e.builds != firstPass {
+			t.Fatalf("%s: re-issued orders built %d more tries", q.Name, e.builds-firstPass)
+		}
+		if e.builds != len(e.tries) {
+			t.Fatalf("%s: %d builds for %d memo entries: a trie was rebuilt", q.Name, e.builds, len(e.tries))
+		}
+		// Binary relations have two trie orders each.
+		if len(e.tries) > 2*len(rels) {
+			t.Fatalf("%s: %d tries memoized for %d binary relations", q.Name, len(e.tries), len(rels))
+		}
+	}
+}
+
+func TestRootValAMatchesValA(t *testing.T) {
+	rel := func(name string, attrs []string, rows ...[]relation.Value) *relation.Relation {
+		return relation.FromTuples(name, attrs, rows)
+	}
+	ab, ac, bc := []string{"a", "b"}, []string{"a", "c"}, []string{"b", "c"}
+	cases := map[string][]*relation.Relation{
+		"empty":     {relation.New("R1", ab...), rel("R2", ac, []relation.Value{1, 2})},
+		"all empty": {relation.New("R1", ab...), relation.New("R2", ac...)},
+		"duplicates": {
+			rel("R1", ab, []relation.Value{3, 1}, []relation.Value{3, 1}, []relation.Value{3, 2}, []relation.Value{1, 1}, []relation.Value{1, 1}),
+			rel("R2", ac, []relation.Value{1, 5}, []relation.Value{1, 5}, []relation.Value{3, 5}, []relation.Value{3, 6}, []relation.Value{4, 4}),
+		},
+		"disjoint": {
+			rel("R1", ab, []relation.Value{1, 1}, []relation.Value{2, 1}),
+			rel("R2", ac, []relation.Value{7, 1}, []relation.Value{8, 1}),
+		},
+		"no relation has a": {rel("R3", bc, []relation.Value{1, 2})},
+	}
+	for name, rels := range cases {
+		rels = append(rels, rel("R3", bc, []relation.Value{1, 2}, []relation.Value{2, 9}))
+		want := ValA(rels, "a")
+		for _, order := range [][]string{{"a", "b", "c"}, {"a", "c", "b"}} {
+			pos := map[string]int{}
+			for i, a := range order {
+				pos[a] = i
+			}
+			got := NewEstimator().rootValA(rels, pos, "a", make([]*trie.Trie, len(rels)))
+			if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("%s under %v: trie-root val(a)=%v, ValA=%v", name, order, got, want)
+			}
+		}
+	}
 }

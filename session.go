@@ -38,8 +38,12 @@ type TrieStoreStats = blockcache.StoreStats
 // Underneath sits a session-resident, content-keyed block-trie store with
 // an LRU byte budget: a cold execution publishes the block tries its HCube
 // shuffle built, and every later execution over unchanged relation content
-// adopts them directly — zero shuffle traffic and zero shuffle-side trie
-// builds (Report.TrieBuilds == 0 on a warm run).
+// adopts them directly — no HCube shuffle traffic and zero shuffle-side
+// trie builds (Report.TrieBuilds == 0 on a warm run). One exchange is not
+// yet warm: an ADJ plan that pre-computes a bag re-runs the bag's
+// distributed hash joins, with their exchanges, on every Exec, even
+// though the pre-computed relation's tries are then adopted from the
+// store (an open defect; see ROADMAP).
 //
 // A Session is safe for concurrent use and executes concurrently: it owns
 // a small pool of resident clusters (Options.Concurrency), and Exec calls
