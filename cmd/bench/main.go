@@ -138,7 +138,7 @@ type Snapshot struct {
 	// prepared once, executed cold (shuffle + trie builds, published to the
 	// session store) then warm (shuffle skipped, tries adopted).
 	Session *SessionBench `json:"session,omitempty"`
-	// Streaming is the pipelined-shuffle workload: streamed-vs-materialized
+	// Streaming is the pipelined-shuffle workload: parallel-vs-sequential
 	// parity across every engine, comm/compute overlap on a shuffle-heavy
 	// run, dial amortization over the persistent TCP transport, and the
 	// receive-side memory bound on the multi-round BigJoin.
@@ -182,7 +182,8 @@ type SessionBench struct {
 // counters from the parallel (pipelined) engine runs, the comm/compute
 // overlap reclaimed on a shuffle-heavy workload, the dial count of one
 // multi-round run over the persistent TCP transport, and the receive-side
-// peak bytes of the BigJoin run streamed vs materialized.
+// peak bytes of the BigJoin run parallel (window-bounded) vs sequential
+// (whole inbox).
 type StreamBench struct {
 	// StreamChunks totals the chunk envelopes the parallel engine runs
 	// moved through the pipelined path (every engine must stream).
@@ -198,7 +199,7 @@ type StreamBench struct {
 	TCPDials     int64 `json:"tcp_dials"`
 	TCPDialBound int64 `json:"tcp_dial_bound"`
 	// BigJoin receive-side peak payload bytes held at one worker: bounded
-	// chunk queues (streamed) vs the full materialized inbox.
+	// chunk queues (parallel) vs the whole inbox (sequential).
 	RecvPeakStreamedBytes     int64 `json:"bigjoin_recv_peak_streamed_bytes"`
 	RecvPeakMaterializedBytes int64 `json:"bigjoin_recv_peak_materialized_bytes"`
 }
@@ -464,8 +465,8 @@ func main() {
 	// Fault-free parity runs in every mode: the robustness layer must cost
 	// nothing (and change nothing) when no fault fires.
 	faultFreeParity(q, rels, *workers, *cubes)
-	// Streaming-shuffle invariants (streamed == materialized for every
-	// engine, chunks flow, overlap > 0, TCP dials amortized, BigJoin
+	// Streaming-shuffle invariants (parallel == sequential for every
+	// engine, equal chunk counts, overlap > 0, TCP dials amortized, BigJoin
 	// receive peak bounded) run in every mode too.
 	snap.Streaming = benchStreamingShuffle(q, rels, *dataset, *workers, *cubes)
 	// Session invariants (warm trie builds == 0, streamed output ==
@@ -883,11 +884,11 @@ func faultFreeParity(q hypergraph.Query, rels []*relation.Relation, workers, cub
 // benchStreamingShuffle enforces the pipelined-shuffle invariants in every
 // mode (quick included) and returns the streaming section of the snapshot:
 //
-//   - every engine run in the parallel (streamed) mode produces sorted
-//     output byte-identical to its sequential (materialized shim) run, and
-//     moves a nonzero number of chunk envelopes while the shim moves none;
-//   - the streamed BigJoin's receive-side peak bytes never exceed the
-//     materialized inbox peak (bounded chunk queues vs full inboxes);
+//   - every engine run in the parallel mode produces sorted output
+//     byte-identical to its sequential run, and both modes move the same
+//     nonzero number of chunk envelopes (one exchange path, two schedules);
+//   - the parallel BigJoin's receive-side peak bytes never exceed the
+//     sequential run's (bounded chunk queues vs whole inboxes);
 //   - a shuffle-heavy run reports comm/compute overlap > 0;
 //   - one multi-round BigJoin over the real TCP transport dials at most
 //     workers² connections across all its exchanges (persistent
@@ -915,7 +916,7 @@ func benchStreamingShuffle(q hypergraph.Query, rels []*relation.Relation, datase
 			fatal(fmt.Errorf("streaming %s (sequential): %w", name, err))
 		}
 		if streamed.Results != mat.Results || !bytes.Equal(sortedBytes(streamed.Output), sortedBytes(mat.Output)) {
-			fatal(fmt.Errorf("streaming %s: streamed output differs from materialized (%d vs %d results)",
+			fatal(fmt.Errorf("streaming %s: parallel output differs from sequential (%d vs %d results)",
 				name, streamed.Results, mat.Results))
 		}
 		if wantResults == -1 {
@@ -924,15 +925,16 @@ func benchStreamingShuffle(q hypergraph.Query, rels []*relation.Relation, datase
 		if streamed.StreamChunks == 0 {
 			fatal(fmt.Errorf("streaming %s: parallel run moved zero chunks — pipelined path not engaged", name))
 		}
-		if mat.StreamChunks != 0 {
-			fatal(fmt.Errorf("streaming %s: sequential run reported %d stream chunks", name, mat.StreamChunks))
+		if mat.StreamChunks != streamed.StreamChunks {
+			fatal(fmt.Errorf("streaming %s: sequential run moved %d stream chunks, parallel %d",
+				name, mat.StreamChunks, streamed.StreamChunks))
 		}
 		sb.StreamChunks += streamed.StreamChunks
 		if name == "BigJoin" {
 			sb.RecvPeakStreamedBytes = streamed.RecvPeakBytes
 			sb.RecvPeakMaterializedBytes = mat.RecvPeakBytes
 			if streamed.RecvPeakBytes > mat.RecvPeakBytes {
-				fatal(fmt.Errorf("streaming BigJoin: streamed receive peak %d B exceeds materialized inbox peak %d B",
+				fatal(fmt.Errorf("streaming BigJoin: parallel receive peak %d B exceeds sequential inbox peak %d B",
 					streamed.RecvPeakBytes, mat.RecvPeakBytes))
 			}
 		}
@@ -985,7 +987,7 @@ func benchStreamingShuffle(q hypergraph.Query, rels []*relation.Relation, datase
 			sb.TCPDials, sb.TCPDialBound))
 	}
 	fmt.Fprintf(os.Stderr,
-		"streaming: %d chunks, overlap %.4fs (%s), tcp dials %d/%d, bigjoin recv peak %d B streamed vs %d B materialized\n",
+		"streaming: %d chunks, overlap %.4fs (%s), tcp dials %d/%d, bigjoin recv peak %d B parallel vs %d B sequential\n",
 		sb.StreamChunks, sb.OverlapSeconds, sb.OverlapEngine,
 		sb.TCPDials, sb.TCPDialBound, sb.RecvPeakStreamedBytes, sb.RecvPeakMaterializedBytes)
 	return sb

@@ -65,49 +65,65 @@ func TestParallelPropagatesErrors(t *testing.T) {
 	}
 }
 
+// recvAll drains r, calling fn on every chunk until end-of-stream.
+func recvAll(r StreamReceiver, fn func(e Envelope) error) error {
+	for {
+		e, ok, err := r.Recv()
+		if err != nil || !ok {
+			return err
+		}
+		if err := fn(e); err != nil {
+			return err
+		}
+	}
+}
+
 func TestExchangeRoutesAndCounts(t *testing.T) {
+	// local runs the sequential (worker-order) mode; parallel and tcp run
+	// the default goroutine mode over each transport.
 	for _, mode := range []string{"local", "tcp", "parallel"} {
 		mode := mode
 		t.Run(mode, func(t *testing.T) {
 			cfg := Config{N: 3}
 			switch mode {
+			case "local":
+				cfg.Sequential = true
 			case "tcp":
 				tr, err := NewTCPTransport(3)
 				if err != nil {
 					t.Fatal(err)
 				}
 				cfg.Transport = tr
-			case "parallel":
-				cfg.RealParallel = true
 			}
 			c := New(cfg)
 			defer c.Close()
 			// Every worker sends its ID to every other worker.
 			got := make([][]int, 3)
-			err := c.Exchange("x",
-				func(w *Worker) ([]Envelope, error) {
-					var out []Envelope
+			err := c.StreamExchange("x",
+				func(w *Worker, s StreamSender) error {
 					for to := 0; to < 3; to++ {
 						if to == w.ID {
 							continue
 						}
-						out = append(out, Envelope{
+						if err := s.Send(Envelope{
 							To:      to,
 							Key:     "id",
 							Payload: []byte{byte(w.ID)},
 							Tuples:  1,
-						})
+						}); err != nil {
+							return err
+						}
 					}
-					return out, nil
+					return nil
 				},
-				func(w *Worker, inbox []Envelope) error {
-					for _, e := range inbox {
+				func(w *Worker, r StreamReceiver) error {
+					return recvAll(r, func(e Envelope) error {
 						got[w.ID] = append(got[w.ID], int(e.Payload[0]))
 						if e.From != int(e.Payload[0]) {
 							return fmt.Errorf("From field mismatch: %d vs %d", e.From, e.Payload[0])
 						}
-					}
-					return nil
+						return nil
+					})
 				})
 			if err != nil {
 				t.Fatal(err)
@@ -144,22 +160,22 @@ func TestExchangeRelationPayloadOverTCP(t *testing.T) {
 		orig.Append(rng.Int63(), rng.Int63())
 	}
 	var received *relation.Relation
-	err = c.Exchange("ship",
-		func(w *Worker) ([]Envelope, error) {
+	err = c.StreamExchange("ship",
+		func(w *Worker, s StreamSender) error {
 			if w.ID != 0 {
-				return nil, nil
+				return nil
 			}
-			return []Envelope{{To: 1, Key: "rel", Payload: relation.Encode(orig), Tuples: int64(orig.Len())}}, nil
+			return s.Send(Envelope{To: 1, Key: "rel", Payload: relation.Encode(orig), Tuples: int64(orig.Len())})
 		},
-		func(w *Worker, inbox []Envelope) error {
-			for _, e := range inbox {
-				r, err := relation.Decode(e.Payload)
+		func(w *Worker, r StreamReceiver) error {
+			return recvAll(r, func(e Envelope) error {
+				rel, err := relation.Decode(e.Payload)
 				if err != nil {
 					return err
 				}
-				received = r
-			}
-			return nil
+				received = rel
+				return nil
+			})
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +186,7 @@ func TestExchangeRelationPayloadOverTCP(t *testing.T) {
 }
 
 func TestTCPMultipleExchanges(t *testing.T) {
-	// The transport must survive repeated Route calls (one per BSP phase).
+	// The transport must survive repeated exchanges (one per BSP phase).
 	tr, err := NewTCPTransport(2)
 	if err != nil {
 		t.Fatal(err)
@@ -179,15 +195,15 @@ func TestTCPMultipleExchanges(t *testing.T) {
 	defer c.Close()
 	for round := 0; round < 3; round++ {
 		var sum atomic.Int64 // consume runs on one goroutine per worker
-		err := c.Exchange("r",
-			func(w *Worker) ([]Envelope, error) {
-				return []Envelope{{To: 1 - w.ID, Payload: []byte{byte(round)}}}, nil
+		err := c.StreamExchange("r",
+			func(w *Worker, s StreamSender) error {
+				return s.Send(Envelope{To: 1 - w.ID, Payload: []byte{byte(round)}})
 			},
-			func(w *Worker, inbox []Envelope) error {
-				for _, e := range inbox {
+			func(w *Worker, r StreamReceiver) error {
+				return recvAll(r, func(e Envelope) error {
 					sum.Add(int64(e.Payload[0]))
-				}
-				return nil
+					return nil
+				})
 			})
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -201,11 +217,13 @@ func TestTCPMultipleExchanges(t *testing.T) {
 func TestEnvelopeOutOfRange(t *testing.T) {
 	c := New(Config{N: 2})
 	defer c.Close()
-	err := c.Exchange("bad",
-		func(w *Worker) ([]Envelope, error) {
-			return []Envelope{{To: 5}}, nil
+	err := c.StreamExchange("bad",
+		func(w *Worker, s StreamSender) error {
+			return s.Send(Envelope{To: 5})
 		},
-		func(w *Worker, inbox []Envelope) error { return nil })
+		func(w *Worker, r StreamReceiver) error {
+			return recvAll(r, func(Envelope) error { return nil })
+		})
 	if err == nil {
 		t.Fatal("expected routing error")
 	}

@@ -91,46 +91,60 @@ func TestIsTransient(t *testing.T) {
 	}
 }
 
-// countingTransport is a fake ExchangeTransport + RetryCounter: each
-// exchange "retries" a fixed number of times so the test can assert
-// Exchange diffs the counter into the run's metrics.
+// countingTransport is a fake transport whose every exchange reports a
+// fixed number of retries in its Stats, so the test can assert the cluster
+// folds each exchange's retries into the run's metrics.
 type countingTransport struct {
-	inner           *LocalTransport
-	retriesPerRoute int64
-	total           int64
-	sawPhase        string
-	sawCtx          context.Context
+	inner              *LocalTransport
+	retriesPerExchange int64
+	sawPhase           string
+	sawCtx             context.Context
 }
 
-func (c *countingTransport) Route(bySender [][]Envelope) ([][]Envelope, error) {
-	c.total += c.retriesPerRoute
-	return c.inner.Route(bySender)
-}
-
-func (c *countingTransport) RouteExchange(ctx context.Context, phase string, bySender [][]Envelope) ([][]Envelope, error) {
+func (c *countingTransport) OpenExchange(ctx context.Context, phase string, window int) (ExchangeStream, error) {
 	c.sawPhase = phase
 	c.sawCtx = ctx
-	return c.Route(bySender)
+	es, err := c.inner.OpenExchange(ctx, phase, window)
+	if err != nil {
+		return nil, err
+	}
+	return &countingStream{ExchangeStream: es, retries: c.retriesPerExchange}, nil
 }
 
-func (c *countingTransport) RetryStats() int64 { return c.total }
-func (c *countingTransport) Close() error      { return c.inner.Close() }
+func (c *countingTransport) Close() error { return c.inner.Close() }
 
-// TestExchangeFoldsRetryStats verifies the metrics plumbing: a transport
-// that reports retries sees them charged to the run's metrics, one diff per
-// exchange, and the context-aware route receives the run context and phase.
+type countingStream struct {
+	ExchangeStream
+	retries int64
+}
+
+func (s *countingStream) Stats() StreamStats {
+	st := s.ExchangeStream.Stats()
+	st.Retries = s.retries
+	return st
+}
+
+// TestExchangeFoldsRetryStats verifies the metrics plumbing: an exchange
+// whose stats report retries sees them charged to the run's metrics, once
+// per exchange, and the transport receives the run context and phase.
 func TestExchangeFoldsRetryStats(t *testing.T) {
 	const n = 3
-	ct := &countingTransport{inner: NewLocalTransport(n), retriesPerRoute: 2}
+	ct := &countingTransport{inner: NewLocalTransport(n), retriesPerExchange: 2}
 	c := New(Config{N: n, Transport: ct})
 	defer c.Close()
 
 	exchange := func(phase string) error {
-		return c.Exchange(phase,
-			func(w *Worker) ([]Envelope, error) {
-				return []Envelope{{From: w.ID, To: (w.ID + 1) % n, Key: "k"}}, nil
+		return c.StreamExchange(phase,
+			func(w *Worker, s StreamSender) error {
+				return s.Send(Envelope{To: (w.ID + 1) % n, Key: "k"})
 			},
-			func(w *Worker, inbox []Envelope) error { return nil })
+			func(w *Worker, r StreamReceiver) error {
+				for {
+					if _, ok, err := r.Recv(); err != nil || !ok {
+						return err
+					}
+				}
+			})
 	}
 	if err := exchange("shuffle/a"); err != nil {
 		t.Fatal(err)
@@ -145,9 +159,9 @@ func TestExchangeFoldsRetryStats(t *testing.T) {
 		t.Fatalf("after two exchanges: TransportRetries = %d, want 4", got)
 	}
 	if ct.sawPhase != "shuffle/b" {
-		t.Fatalf("context-aware route saw phase %q", ct.sawPhase)
+		t.Fatalf("transport saw phase %q", ct.sawPhase)
 	}
 	if ct.sawCtx == nil {
-		t.Fatal("context-aware route did not receive the run context")
+		t.Fatal("transport did not receive the run context")
 	}
 }

@@ -62,19 +62,19 @@ type PhaseMetrics struct {
 	Messages int64
 	// OverlapSeconds is the comm/compute overlap the streaming path
 	// reclaimed: producer busy time + consumer busy time in excess of the
-	// exchange's wall time (0 on the materialized path, where consume
-	// cannot start before the last producer finishes).
+	// exchange's wall time (0 in sequential mode, where consume cannot
+	// start before the last producer finishes).
 	OverlapSeconds float64
-	// StreamChunks counts chunk envelopes delivered through the streaming
-	// path (0 when the exchange ran materialized).
+	// StreamChunks counts chunk envelopes delivered to receivers.
 	StreamChunks int64
 	// InflightPeakChunks is the high-water mark of chunks queued at any
 	// single receiver (bounded by the stream window).
 	InflightPeakChunks int64
 	// RecvPeakBytes is the high-water mark of receive-side payload bytes
-	// held at any single worker: queued chunk bytes when streamed, the
-	// full inbox when materialized. The streaming win on multi-round
-	// engines shows up here.
+	// queued at any single worker: bounded by the stream window in the
+	// default mode, the worker's whole inbox in sequential mode (every
+	// producer finishes before the first consumer runs). The streaming win
+	// on multi-round engines shows up here.
 	RecvPeakBytes int64
 }
 

@@ -90,29 +90,34 @@ func TestParallelPanicCancelsPeers(t *testing.T) {
 	}
 }
 
-// TestExchangePanicInConsume checks containment on the exchange path: a
-// panic in a consume body is typed, and the deferred inbox/arena cleanup
-// still runs.
+// TestExchangePanicInConsume checks containment on the exchange path in
+// both modes: a panic in a consume body is typed, and the deferred payload
+// arena cleanup still runs.
 func TestExchangePanicInConsume(t *testing.T) {
-	c := New(Config{N: 2})
-	defer c.Close()
-
-	err := c.Exchange("x",
-		func(w *Worker) ([]Envelope, error) {
-			return []Envelope{{To: (w.ID + 1) % 2, Payload: []byte("p")}}, nil
-		},
-		func(w *Worker, inbox []Envelope) error {
-			if w.ID == 1 {
-				panic("consume")
+	for _, sequential := range []bool{false, true} {
+		c := New(Config{N: 2, Sequential: sequential})
+		err := c.StreamExchange("x",
+			func(w *Worker, s StreamSender) error {
+				return s.Send(Envelope{To: (w.ID + 1) % 2, Payload: w.PayloadCopy([]byte("p"))})
+			},
+			func(w *Worker, r StreamReceiver) error {
+				if w.ID == 1 {
+					panic("consume")
+				}
+				for {
+					if _, ok, err := r.Recv(); err != nil || !ok {
+						return err
+					}
+				}
+			})
+		c.Close()
+		if !errors.Is(err, ErrWorkerPanic) {
+			t.Fatalf("sequential=%v: want ErrWorkerPanic, got %v", sequential, err)
+		}
+		for _, w := range c.Workers {
+			if len(w.arena.cur) != 0 {
+				t.Fatalf("sequential=%v: worker %d payload arena not reset after panic", sequential, w.ID)
 			}
-			return nil
-		})
-	if !errors.Is(err, ErrWorkerPanic) {
-		t.Fatalf("want ErrWorkerPanic, got %v", err)
-	}
-	for _, w := range c.Workers {
-		if w.Inbox != nil {
-			t.Fatalf("worker %d inbox not cleared after panic", w.ID)
 		}
 	}
 }
@@ -165,12 +170,13 @@ func TestResetRunClearsWorkerState(t *testing.T) {
 	c := New(Config{N: 2})
 	defer c.Close()
 	w := c.Workers[0]
-	w.Inbox = []Envelope{{Key: "left-over"}}
+	w.PayloadCopy([]byte("left-over"))
+	w.Rels["R"] = nil
 	w.Scratch["k"] = 1
 	w.CubeDB(3)["r"] = nil
 	c.ResetRun()
-	if w.Inbox != nil || len(w.Scratch) != 0 || len(w.Cubes) != 0 {
-		t.Fatalf("ResetRun left state behind: inbox=%v scratch=%v cubes=%v",
-			w.Inbox, w.Scratch, w.Cubes)
+	if len(w.arena.cur) != 0 || len(w.Rels) != 0 || len(w.Scratch) != 0 || len(w.Cubes) != 0 {
+		t.Fatalf("ResetRun left state behind: arena=%d rels=%v scratch=%v cubes=%v",
+			len(w.arena.cur), w.Rels, w.Scratch, w.Cubes)
 	}
 }

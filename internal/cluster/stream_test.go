@@ -87,9 +87,9 @@ func runStreamCollect(t *testing.T, c *Cluster, phase string, chunks int) [][]st
 }
 
 // TestStreamExchangeLocalMatchesMaterialized runs the same chunked exchange
-// through the parallel (streamed) and sequential (materialized shim) paths
-// and requires identical delivered content; the streamed run must also
-// report wire-level chunk counters while the shim reports none.
+// in the parallel (pipelined) and sequential (worker-order) modes and
+// requires identical delivered content, identical logical counters and
+// identical wire-level chunk counts.
 func TestStreamExchangeLocalMatchesMaterialized(t *testing.T) {
 	const n, chunks = 4, 7
 	par := New(Config{N: n})
@@ -104,7 +104,7 @@ func TestStreamExchangeLocalMatchesMaterialized(t *testing.T) {
 			t.Fatalf("worker %d received %d chunks, want %d", d, len(gotPar[d]), n*chunks)
 		}
 		if strings.Join(gotPar[d], "\n") != strings.Join(gotSeq[d], "\n") {
-			t.Fatalf("worker %d: streamed and materialized deliveries differ", d)
+			t.Fatalf("worker %d: parallel and sequential deliveries differ", d)
 		}
 	}
 
@@ -116,13 +116,13 @@ func TestStreamExchangeLocalMatchesMaterialized(t *testing.T) {
 		t.Fatalf("InflightPeakChunks = %d, want in (0, %d]", pmPar.InflightPeakChunks, DefaultStreamWindow)
 	}
 	pmSeq := seq.Metrics.Phase("x")
-	if pmSeq.StreamChunks != 0 {
-		t.Fatalf("materialized run reported %d stream chunks", pmSeq.StreamChunks)
+	if pmSeq.StreamChunks != pmPar.StreamChunks {
+		t.Fatalf("sequential run reported %d stream chunks, parallel %d", pmSeq.StreamChunks, pmPar.StreamChunks)
 	}
 	// Identical logical counters either way: chunked weights preserve the
 	// one-message-per-block accounting.
 	if pmPar.Messages != pmSeq.Messages || pmPar.TuplesSent != pmSeq.TuplesSent || pmPar.BytesSent != pmSeq.BytesSent {
-		t.Fatalf("counter drift: streamed (msgs=%d tuples=%d bytes=%d) vs materialized (msgs=%d tuples=%d bytes=%d)",
+		t.Fatalf("counter drift: parallel (msgs=%d tuples=%d bytes=%d) vs sequential (msgs=%d tuples=%d bytes=%d)",
 			pmPar.Messages, pmPar.TuplesSent, pmPar.BytesSent,
 			pmSeq.Messages, pmSeq.TuplesSent, pmSeq.BytesSent)
 	}
@@ -300,6 +300,7 @@ func TestTCPStreamConcurrentExchanges(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var dials, retries atomic.Int64
 	for round := 0; round < rounds; round++ {
 		var wg sync.WaitGroup
 		errs := make([]error, concurrent)
@@ -319,7 +320,9 @@ func TestTCPStreamConcurrentExchanges(t *testing.T) {
 						}
 					}
 				}
-				out, err := tr.RouteExchange(context.Background(), tag, bySender)
+				out, stats, err := routeStream(context.Background(), tr, tag, n, bySender)
+				dials.Add(stats.Dials)
+				retries.Add(stats.Retries)
 				if err != nil {
 					errs[g] = err
 					return
@@ -351,12 +354,12 @@ func TestTCPStreamConcurrentExchanges(t *testing.T) {
 		}
 	}
 
-	if dials := tr.DialStats(); dials > n*n {
+	if d := dials.Load(); d > n*n {
 		t.Fatalf("%d dials across %d exchanges; persistent connections should bound this by n²=%d",
-			dials, rounds*concurrent, n*n)
+			d, rounds*concurrent, n*n)
 	}
-	if retries := tr.RetryStats(); retries != 0 {
-		t.Fatalf("healthy run performed %d retries", retries)
+	if r := retries.Load(); r != 0 {
+		t.Fatalf("healthy run performed %d retries", r)
 	}
 	tr.Close()
 	streamSettle(t, baseline)
@@ -465,7 +468,7 @@ func TestTCPStreamMidStreamCancel(t *testing.T) {
 	// The aborted exchange must not poison the next one.
 	bySender := make([][]Envelope, 2)
 	bySender[0] = []Envelope{{From: 0, To: 1, Key: "next", Payload: []byte("ok")}}
-	out, err := tr.RouteExchange(context.Background(), "next", bySender)
+	out, _, err := routeStream(context.Background(), tr, "next", 2, bySender)
 	if err != nil {
 		t.Fatalf("follow-up exchange failed: %v", err)
 	}
@@ -485,7 +488,7 @@ func TestTCPStreamExchangeSequentialReuse(t *testing.T) {
 	}
 	defer tr.Close()
 
-	run := func() {
+	run := func() int64 {
 		t.Helper()
 		bySender := make([][]Envelope, n)
 		for s := 0; s < n; s++ {
@@ -493,19 +496,18 @@ func TestTCPStreamExchangeSequentialReuse(t *testing.T) {
 				bySender[s] = append(bySender[s], Envelope{From: s, To: d, Key: "k", Payload: []byte{1, 2}})
 			}
 		}
-		if _, err := tr.Route(bySender); err != nil {
+		_, stats, err := routeStream(context.Background(), tr, "reuse", n, bySender)
+		if err != nil {
 			t.Fatalf("route: %v", err)
 		}
+		return stats.Dials
 	}
-	run()
-	warm := tr.DialStats()
-	if warm == 0 || warm > n*n {
+	if warm := run(); warm == 0 || warm > n*n {
 		t.Fatalf("first exchange dialed %d connections, want in (0, %d]", warm, n*n)
 	}
 	for i := 0; i < 10; i++ {
-		run()
-	}
-	if after := tr.DialStats(); after != warm {
-		t.Fatalf("warm exchanges dialed %d new connections (persistent reuse broken)", after-warm)
+		if dials := run(); dials != 0 {
+			t.Fatalf("warm exchange %d dialed %d new connections (persistent reuse broken)", i, dials)
+		}
 	}
 }

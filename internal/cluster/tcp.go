@@ -61,9 +61,7 @@ type TCPTransport struct {
 	addrs     []string
 	retry     RetryPolicy
 
-	seq     atomic.Uint64
-	retries atomic.Int64
-	dials   atomic.Int64
+	seq atomic.Uint64
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -172,20 +170,6 @@ func NewTCPTransportWithRetry(n int, policy RetryPolicy) (*TCPTransport, error) 
 // Addrs returns the listener addresses (for diagnostics).
 func (t *TCPTransport) Addrs() []string { return append([]string(nil), t.addrs...) }
 
-// RetryStats returns the cumulative dial retry count (RetryCounter).
-func (t *TCPTransport) RetryStats() int64 { return t.retries.Load() }
-
-// DialStats returns the cumulative successful dial count (DialCounter).
-// With persistent connections it is bounded by n² per transport lifetime
-// unless connections are torn down by faults.
-func (t *TCPTransport) DialStats() int64 { return t.dials.Load() }
-
-// Route performs one exchange without context plumbing (Transport compat).
-func (t *TCPTransport) Route(bySender [][]Envelope) ([][]Envelope, error) {
-	//adjlint:ignore ctxflow legacy Transport.Route has no context parameter to thread
-	return t.RouteExchange(context.Background(), "", bySender)
-}
-
 // backoff returns the jittered exponential delay before retry `attempt`
 // (1-based: the delay after the attempt-th failure).
 func (t *TCPTransport) backoff(attempt int) time.Duration {
@@ -244,62 +228,6 @@ func (t *TCPTransport) OpenExchange(ctx context.Context, phase string, window in
 	return ex, nil
 }
 
-// RouteExchange performs one materialized all-to-all exchange as a shim
-// over the streaming path: senders stream their envelopes as chunks over
-// the persistent connections, receivers drain their queues into
-// caller-owned slices. The first unrecoverable failure aborts the
-// exchange with a typed error; ctx cancellation aborts it with ctx's
-// error.
-func (t *TCPTransport) RouteExchange(ctx context.Context, phase string, bySender [][]Envelope) ([][]Envelope, error) {
-	es, err := t.OpenExchange(ctx, phase, 0)
-	if err != nil {
-		return nil, err
-	}
-	ex := es.(*tcpExchange)
-	defer ex.Close()
-
-	out := make([][]Envelope, t.n)
-	var wg sync.WaitGroup
-	for s := 0; s < t.n; s++ {
-		var envs []Envelope
-		if s < len(bySender) {
-			envs = bySender[s]
-		}
-		wg.Add(1)
-		go func(s int, envs []Envelope) {
-			defer wg.Done()
-			snd := ex.Sender(s)
-			for _, e := range envs {
-				if err := snd.Send(e); err != nil {
-					break
-				}
-			}
-			snd.Close()
-		}(s, envs)
-	}
-	for d := 0; d < t.n; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			rcv := ex.Receiver(d)
-			for {
-				e, ok, err := rcv.Recv()
-				if err != nil || !ok {
-					return
-				}
-				// Own the (pooled) payload before the next Recv.
-				e.Payload = append([]byte(nil), e.Payload...)
-				out[d] = append(out[d], e)
-			}
-		}(d)
-	}
-	wg.Wait()
-	if cause := ex.cause(); cause != nil {
-		return nil, cause
-	}
-	return out, nil
-}
-
 // getConn returns the persistent connection for (s, d), dialing it (with
 // retry/backoff) if absent or previously broken.
 func (t *TCPTransport) getConn(ex *tcpExchange, s, d int) (*wconn, error) {
@@ -337,7 +265,7 @@ func (t *TCPTransport) dialConn(ex *tcpExchange, s, d int) (*wconn, error) {
 			return nil, err
 		}
 		if attempt > 1 {
-			t.retries.Add(1)
+			ex.retries.Add(1)
 			select {
 			case <-ex.abortCh:
 				return nil, ex.cause()
@@ -367,7 +295,7 @@ func (t *TCPTransport) dialConn(ex *tcpExchange, s, d int) (*wconn, error) {
 			lastErr = err
 			continue
 		}
-		t.dials.Add(1)
+		ex.dials.Add(1)
 		return &wconn{conn: conn}, nil
 	}
 	return nil, &TransportError{Op: "dial", Dest: d, Attempts: t.retry.MaxAttempts, Err: lastErr}
@@ -653,6 +581,10 @@ type tcpExchange struct {
 	deadline    time.Time
 	hasDeadline bool
 	queues      []*chunkQueue
+	// dials and retries count the connection attempts this exchange made
+	// (a connection is charged to the exchange whose Send dialed it).
+	dials   atomic.Int64
+	retries atomic.Int64
 
 	mu            sync.Mutex
 	closedSenders int
@@ -708,6 +640,8 @@ func (ex *tcpExchange) Stats() StreamStats {
 	for _, q := range ex.queues {
 		s.merge(q.stats())
 	}
+	s.Dials = ex.dials.Load()
+	s.Retries = ex.retries.Load()
 	return s
 }
 

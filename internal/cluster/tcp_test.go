@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 )
@@ -22,32 +23,89 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
-// routeWithTimeout runs Route and fails the test if it hangs — the
-// regression this guards against is Route blocking forever in wg.Wait when
-// a sender dies and its receiver keeps waiting in Accept.
-func routeWithTimeout(t *testing.T, tr *TCPTransport, bySender [][]Envelope, d time.Duration) ([][]Envelope, error) {
+// routeStream runs one all-to-all exchange over tr's streaming surface:
+// each sender streams its envelopes on its own goroutine (stopping at its
+// first error), each receiver copies what lands. It returns the envelopes
+// grouped by destination and the exchange's stats; on abort it returns the
+// abort cause and no envelopes.
+func routeStream(ctx context.Context, tr Transport, phase string, n int, bySender [][]Envelope) ([][]Envelope, StreamStats, error) {
+	es, err := tr.OpenExchange(ctx, phase, 0)
+	if err != nil {
+		return nil, StreamStats{}, err
+	}
+	defer es.Close()
+	out := make([][]Envelope, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for s := 0; s < n; s++ {
+		wg.Add(2)
+		go func(s int) {
+			defer wg.Done()
+			snd := es.Sender(s)
+			if s < len(bySender) {
+				for _, e := range bySender[s] {
+					if err := snd.Send(e); err != nil {
+						break
+					}
+				}
+			}
+			snd.Close()
+		}(s)
+		go func(d int) {
+			defer wg.Done()
+			rcv := es.Receiver(d)
+			for {
+				e, ok, err := rcv.Recv()
+				if err != nil {
+					errs[d] = err
+					return
+				}
+				if !ok {
+					return
+				}
+				// Own the (pooled) payload before the next Recv.
+				e.Payload = append([]byte(nil), e.Payload...)
+				out[d] = append(out[d], e)
+			}
+		}(s)
+	}
+	wg.Wait()
+	stats := es.Stats()
+	for _, err := range errs {
+		if err != nil {
+			return nil, stats, err
+		}
+	}
+	return out, stats, nil
+}
+
+// routeWithTimeout runs routeStream and fails the test if it hangs — the
+// regression this guards against is an exchange blocking forever when a
+// sender dies and its receiver keeps waiting.
+func routeWithTimeout(t *testing.T, tr *TCPTransport, bySender [][]Envelope, d time.Duration) ([][]Envelope, StreamStats, error) {
 	t.Helper()
 	type result struct {
-		out [][]Envelope
-		err error
+		out   [][]Envelope
+		stats StreamStats
+		err   error
 	}
 	done := make(chan result, 1)
 	go func() {
-		out, err := tr.Route(bySender)
-		done <- result{out, err}
+		out, stats, err := routeStream(context.Background(), tr, "", tr.n, bySender)
+		done <- result{out, stats, err}
 	}()
 	select {
 	case r := <-done:
-		return r.out, r.err
+		return r.out, r.stats, r.err
 	case <-time.After(d):
-		t.Fatal("TCPTransport.Route hung after a sender failure (deadlock regression)")
-		return nil, nil
+		t.Fatal("TCP exchange hung after a sender failure (deadlock regression)")
+		return nil, StreamStats{}, nil
 	}
 }
 
 // TestTCPRouteSenderFailureReturnsError kills a sender mid-exchange by
 // pointing its destination at a dead address: the dial fails, no
-// connection ever reaches the destination's listener, and Route must
+// connection ever reaches the destination's listener, and the exchange must
 // surface the sender error instead of hanging in Accept.
 func TestTCPRouteSenderFailureReturnsError(t *testing.T) {
 	tr, err := NewTCPTransport(2)
@@ -59,13 +117,13 @@ func TestTCPRouteSenderFailureReturnsError(t *testing.T) {
 
 	bySender := make([][]Envelope, 2)
 	bySender[0] = []Envelope{{From: 0, To: 1, Key: "k", Payload: []byte("payload")}}
-	if _, err := routeWithTimeout(t, tr, bySender, 30*time.Second); err == nil {
-		t.Fatal("Route should report the failed sender")
+	if _, _, err := routeWithTimeout(t, tr, bySender, 30*time.Second); err == nil {
+		t.Fatal("the exchange should report the failed sender")
 	}
 }
 
 // TestTCPRoutePartialSenderFailure mixes healthy and dead destinations:
-// the healthy exchange leg completes, the dead one errors, and Route
+// the healthy exchange leg completes, the dead one errors, and the exchange
 // still returns (with the sender error) instead of deadlocking on the
 // receiver that never gets its connection.
 func TestTCPRoutePartialSenderFailure(t *testing.T) {
@@ -82,8 +140,8 @@ func TestTCPRoutePartialSenderFailure(t *testing.T) {
 		{From: 0, To: 2, Key: "dead", Payload: []byte("b")},
 	}
 	bySender[1] = []Envelope{{From: 1, To: 1, Key: "self", Payload: []byte("c")}}
-	if _, err := routeWithTimeout(t, tr, bySender, 30*time.Second); err == nil {
-		t.Fatal("Route should report the failed sender")
+	if _, _, err := routeWithTimeout(t, tr, bySender, 30*time.Second); err == nil {
+		t.Fatal("the exchange should report the failed sender")
 	}
 }
 
@@ -100,12 +158,12 @@ func TestTCPRouteRecoversAfterFailure(t *testing.T) {
 
 	bySender := make([][]Envelope, 2)
 	bySender[0] = []Envelope{{From: 0, To: 1, Key: "k", Payload: []byte("x")}}
-	if _, err := routeWithTimeout(t, tr, bySender, 30*time.Second); err == nil {
+	if _, _, err := routeWithTimeout(t, tr, bySender, 30*time.Second); err == nil {
 		t.Fatal("first route should fail")
 	}
 
 	tr.addrs[1] = good
-	out, err := routeWithTimeout(t, tr, bySender, 30*time.Second)
+	out, _, err := routeWithTimeout(t, tr, bySender, 30*time.Second)
 	if err != nil {
 		t.Fatalf("second route should succeed: %v", err)
 	}
@@ -131,7 +189,7 @@ func TestTCPRouteNoStaleBacklogAfterAbort(t *testing.T) {
 		first := make([][]Envelope, 2)
 		first[0] = []Envelope{{From: 0, To: 1, Key: "OLD", Payload: []byte("stale")}}
 		first[1] = []Envelope{{From: 1, To: 0, Key: "doomed", Payload: []byte("x")}}
-		if _, err := routeWithTimeout(t, tr, first, 30*time.Second); err == nil {
+		if _, _, err := routeWithTimeout(t, tr, first, 30*time.Second); err == nil {
 			tr.Close()
 			t.Fatal("first route should fail")
 		}
@@ -139,7 +197,7 @@ func TestTCPRouteNoStaleBacklogAfterAbort(t *testing.T) {
 		tr.addrs[0] = good
 		second := make([][]Envelope, 2)
 		second[0] = []Envelope{{From: 0, To: 1, Key: "NEW", Payload: []byte("fresh")}}
-		out, err := routeWithTimeout(t, tr, second, 30*time.Second)
+		out, _, err := routeWithTimeout(t, tr, second, 30*time.Second)
 		if err != nil {
 			tr.Close()
 			t.Fatalf("iter %d: second route failed: %v", iter, err)
@@ -174,7 +232,7 @@ func TestTCPRouteNoStaleBacklogBusyReceiver(t *testing.T) {
 			{From: 1, To: 1, Key: "OLD-small", Payload: []byte("stale")},
 			{From: 1, To: 2, Key: "doomed", Payload: []byte("x")},
 		}
-		if _, err := routeWithTimeout(t, tr, first, 30*time.Second); err == nil {
+		if _, _, err := routeWithTimeout(t, tr, first, 30*time.Second); err == nil {
 			tr.Close()
 			t.Fatal("first route should fail")
 		}
@@ -182,7 +240,7 @@ func TestTCPRouteNoStaleBacklogBusyReceiver(t *testing.T) {
 		tr.addrs[2] = good
 		second := make([][]Envelope, 3)
 		second[0] = []Envelope{{From: 0, To: 1, Key: "NEW", Payload: []byte("fresh")}}
-		out, err := routeWithTimeout(t, tr, second, 30*time.Second)
+		out, _, err := routeWithTimeout(t, tr, second, 30*time.Second)
 		if err != nil {
 			tr.Close()
 			t.Fatalf("iter %d: second route failed: %v", iter, err)
@@ -212,9 +270,9 @@ func TestTCPRetryStatsCountDialRetries(t *testing.T) {
 
 	bySender := make([][]Envelope, 2)
 	bySender[0] = []Envelope{{From: 0, To: 1, Key: "k", Payload: []byte("p")}}
-	_, err = routeWithTimeout(t, tr, bySender, 30*time.Second)
+	_, stats, err := routeWithTimeout(t, tr, bySender, 30*time.Second)
 	if err == nil {
-		t.Fatal("Route to a dead destination should fail")
+		t.Fatal("an exchange to a dead destination should fail")
 	}
 	if !errors.Is(err, ErrTransport) {
 		t.Fatalf("want ErrTransport, got %v", err)
@@ -226,15 +284,15 @@ func TestTCPRetryStatsCountDialRetries(t *testing.T) {
 	if te.Op != "dial" || te.Dest != 1 || te.Attempts != 3 {
 		t.Fatalf("unexpected TransportError: %+v", te)
 	}
-	if got := tr.RetryStats(); got != 2 {
-		t.Fatalf("RetryStats() = %d, want 2 (attempts 2 and 3)", got)
+	if stats.Retries != 2 {
+		t.Fatalf("exchange Retries = %d, want 2 (attempts 2 and 3)", stats.Retries)
 	}
 }
 
-// TestTCPRouteExchangeCancelInFlight cancels the context while a sender is
+// TestTCPExchangeCancelInFlight cancels the context while a sender is
 // stuck retrying a dead destination: the exchange must abort promptly and
 // return the context's error, classifiable as ErrCanceled.
-func TestTCPRouteExchangeCancelInFlight(t *testing.T) {
+func TestTCPExchangeCancelInFlight(t *testing.T) {
 	tr, err := NewTCPTransportWithRetry(2, RetryPolicy{
 		MaxAttempts: 1000, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond,
 	})
@@ -254,24 +312,24 @@ func TestTCPRouteExchangeCancelInFlight(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := tr.RouteExchange(ctx, "test", bySender)
+		_, _, err := routeStream(ctx, tr, "test", 2, bySender)
 		done <- err
 	}()
 	select {
 	case err = <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("RouteExchange ignored in-flight cancellation")
+		t.Fatal("exchange ignored in-flight cancellation")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 
-// TestTCPRouteExchangeDeadline gives the exchange a context deadline while
+// TestTCPExchangeDeadline gives the exchange a context deadline while
 // its only destination is dead: the retry loop must stop at the deadline
 // and surface context.DeadlineExceeded instead of spinning through its
 // (effectively unbounded) attempt budget.
-func TestTCPRouteExchangeDeadline(t *testing.T) {
+func TestTCPExchangeDeadline(t *testing.T) {
 	tr, err := NewTCPTransportWithRetry(2, RetryPolicy{
 		MaxAttempts: 100000, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond,
 	})
@@ -288,13 +346,13 @@ func TestTCPRouteExchangeDeadline(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := tr.RouteExchange(ctx, "test", bySender)
+		_, _, err := routeStream(ctx, tr, "test", 2, bySender)
 		done <- err
 	}()
 	select {
 	case err = <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("RouteExchange ignored its deadline")
+		t.Fatal("exchange ignored its deadline")
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
@@ -362,7 +420,7 @@ func TestTCPCorruptStreamAbortsTyped(t *testing.T) {
 	// The poisoned exchange must not break the transport.
 	bySender := make([][]Envelope, 2)
 	bySender[1] = []Envelope{{From: 1, To: 1, Key: "legit", Payload: []byte("x")}}
-	out, err := routeWithTimeout(t, tr, bySender, 30*time.Second)
+	out, _, err := routeWithTimeout(t, tr, bySender, 30*time.Second)
 	if err != nil {
 		t.Fatalf("recovery exchange failed: %v", err)
 	}

@@ -203,7 +203,7 @@ func distributedSemijoin(c *cluster.Cluster, phase string, aName string, aAttrs 
 // first chunk and stays nil when none arrives. Payloads are copied as they
 // land (transports reuse receive buffers) and decoded once the stream
 // ends. Every transport delivers one sender's chunks in send order, so the
-// rows come out exactly as a sequential (materialized) exchange orders
+// rows come out exactly as a sequential exchange orders
 // them, whatever the goroutine schedule interleaves on the wire. what
 // names the exchange in errors.
 func recvBySender(r cluster.StreamReceiver, what string, keys []string, dsts []*relation.Relation) error {

@@ -58,11 +58,6 @@ type Config struct {
 	// executes workers on goroutines and spreads a worker's cubes over a
 	// work-stealing pool (the hot path).
 	Sequential bool
-	// RealParallel is the legacy name for the goroutine mode.
-	//
-	// Deprecated: parallel execution is now the default; set Sequential to
-	// get the old default behavior. The field is ignored.
-	RealParallel bool
 	// CollectOutput materializes result tuples into Report.Output (tests);
 	// default counts only.
 	CollectOutput bool
@@ -157,13 +152,13 @@ type Report struct {
 	QueueSeconds   float64
 	AdmissionClass string
 	// Streaming-shuffle counters: StreamChunks counts chunk envelopes
-	// delivered through the pipelined path (0 when every exchange ran
-	// materialized), OverlapSeconds the comm/compute overlap the pipeline
-	// reclaimed (producer + consumer busy time in excess of exchange wall
-	// time), RecvPeakBytes the largest receive-side payload high-water of
-	// any phase (window-bounded when streamed, the full inbox when
-	// materialized), and TransportDials the connections the run's exchanges
-	// opened — persistent transports amortize these toward zero.
+	// delivered to receivers, OverlapSeconds the comm/compute overlap the
+	// pipeline reclaimed (producer + consumer busy time in excess of
+	// exchange wall time; 0 in sequential mode), RecvPeakBytes the largest
+	// receive-side payload high-water of any phase (window-bounded in the
+	// default mode, the full inbox in sequential mode), and TransportDials
+	// the connections the run's exchanges opened — persistent transports
+	// amortize these toward zero.
 	StreamChunks   int64
 	OverlapSeconds float64
 	RecvPeakBytes  int64
@@ -251,7 +246,7 @@ func clusterFor(cfg Config) (*cluster.Cluster, func()) {
 		c.SetContext(cfg.Ctx)
 		return c, func() {
 			// Hand the cluster back with no per-run residue: a failed or
-			// cancelled run must not leave inbox backlog, arena bytes or
+			// cancelled run must not leave exchange backlog, arena bytes or
 			// half-built registries for the session's next execution (the
 			// session-level trie store lives elsewhere and survives).
 			c.ResetRun()

@@ -230,20 +230,66 @@ func TestShuffleKindOverride(t *testing.T) {
 	}
 }
 
-func TestRealParallelMode(t *testing.T) {
+// The default goroutine-parallel mode must return the sequential mode's
+// output row for row: row order is a contract whatever the schedule.
+func TestParallelModeMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	edges := testutil.RandEdges(rng, "E", 400, 25)
 	q := hypergraph.Q1()
 	rels := q.BindGraph(edges)
 	want := int64(relation.NaiveJoin(rels, q.Attrs()).Len())
 	cfg := smallCfg(4)
-	cfg.RealParallel = true
-	rep, err := RunADJ(q, rels, cfg)
+	cfg.CollectOutput = true
+	par, err := RunADJ(q, rels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Results != want {
-		t.Fatalf("parallel mode results=%d want %d", rep.Results, want)
+	cfg.Sequential = true
+	seq, err := RunADJ(q, rels, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if par.Results != want || seq.Results != want {
+		t.Fatalf("results: parallel=%d sequential=%d want %d", par.Results, seq.Results, want)
+	}
+	if !par.Output.Equal(seq.Output) {
+		t.Fatal("parallel output rows differ from the sequential run's")
+	}
+}
+
+// Sequential mode over the real TCP transport runs the same worker-order
+// exchange as over the in-process transport: every engine must return the
+// local sequential result row for row.
+func TestSequentialTCPMatchesLocal(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	edges := testutil.RandEdges(rng, "E", 300, 25)
+	q := hypergraph.Q1()
+	rels := q.BindGraph(edges)
+	for _, name := range AllEngineNames() {
+		run := Engines()[name]
+		cfg := smallCfg(3)
+		cfg.Sequential = true
+		cfg.CollectOutput = true
+		local, err := run(q, rels, cfg)
+		if err != nil {
+			t.Fatalf("%s local: %v", name, err)
+		}
+		tr, err := cluster.NewTCPTransport(cfg.NumServers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Transport = tr
+		remote, err := run(q, rels, cfg)
+		tr.Close()
+		if err != nil {
+			t.Fatalf("%s tcp: %v", name, err)
+		}
+		if remote.Results != local.Results || !remote.Output.Equal(local.Output) {
+			t.Fatalf("%s: tcp results=%d, local results=%d (or rows differ)", name, remote.Results, local.Results)
+		}
+		if remote.TransportDials == 0 {
+			t.Fatalf("%s: tcp run reported no dials", name)
+		}
 	}
 }
 

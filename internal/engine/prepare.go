@@ -98,8 +98,8 @@ func preparedFor(cfg Config, engineName string) *PreparedPlan {
 }
 
 // adjPlan is ADJ's optimization phase (§III): calibrate cost constants,
-// probe the sampler for machine-scaled β, then co-optimize over the
-// GHD-restricted plan space (or pick the communication-first plan). Shared
+// then co-optimize over the GHD-restricted plan space (or pick the
+// communication-first plan). Shared
 // by direct runs (charged to their optimize phase) and Prepare.
 func adjPlan(q hypergraph.Query, rels []*relation.Relation, cfg Config, coOptimize bool) (*optimizer.Plan, error) {
 	params := defaultParams(cfg)
@@ -112,16 +112,6 @@ func adjPlan(q hypergraph.Query, rels []*relation.Relation, cfg Config, coOptimi
 	})
 	if err != nil {
 		return nil, err
-	}
-	// β for raw relations from the sampler's own measured rate (§III-B).
-	// Known defect: opt already holds its own copy of params, so the
-	// measured β below never reaches the plan choice (see ROADMAP).
-	probe, err := opt.Probe()
-	if err == nil && probe.ExtensionsPerSecond() > 0 {
-		params.BetaBase = probe.ExtensionsPerSecond()
-		if params.BetaTrie < 2*params.BetaBase {
-			params.BetaTrie = 2 * params.BetaBase
-		}
 	}
 	if err := ctxErr(cfg); err != nil {
 		return nil, err

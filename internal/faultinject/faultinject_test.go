@@ -3,6 +3,7 @@ package faultinject
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -21,6 +22,48 @@ func envs(n int) [][]cluster.Envelope {
 	return bySender
 }
 
+// exchange runs one all-to-all exchange over tr on the calling goroutine:
+// senders stream their envelopes in worker order, then receivers drain in
+// worker order. The window holds every envelope, so no Send blocks. It
+// returns the delivered envelopes (payloads copied) grouped by destination,
+// or the first error.
+func exchange(ctx context.Context, tr cluster.Transport, phase string, bySender [][]cluster.Envelope) ([][]cluster.Envelope, error) {
+	total := 0
+	for _, envs := range bySender {
+		total += len(envs)
+	}
+	es, err := tr.OpenExchange(ctx, phase, total+1)
+	if err != nil {
+		return nil, err
+	}
+	defer es.Close()
+	for s, envs := range bySender {
+		snd := es.Sender(s)
+		for _, e := range envs {
+			if err := snd.Send(e); err != nil {
+				return nil, err
+			}
+		}
+		snd.Close()
+	}
+	out := make([][]cluster.Envelope, len(bySender))
+	for d := range out {
+		rcv := es.Receiver(d)
+		for {
+			e, ok, err := rcv.Recv()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			e.Payload = append([]byte(nil), e.Payload...)
+			out[d] = append(out[d], e)
+		}
+	}
+	return out, nil
+}
+
 // TestDeterministicSchedule replays the same seed twice over the same
 // exchange sequence and requires identical injection counts and identical
 // per-exchange outcomes.
@@ -30,7 +73,7 @@ func TestDeterministicSchedule(t *testing.T) {
 			Rule{From: Any, To: Any, Drop: 0.2, Corrupt: 0.2, FailDial: 0.05})
 		var outcomes []bool
 		for i := 0; i < 50; i++ {
-			_, err := tr.RouteExchange(context.Background(), "phase", envs(3))
+			_, err := exchange(context.Background(), tr, "phase", envs(3))
 			outcomes = append(outcomes, err == nil)
 		}
 		return tr.Stats(), outcomes
@@ -58,7 +101,7 @@ func TestDeterministicSchedule(t *testing.T) {
 // error classifying as both cluster.ErrTransport and ErrInjected.
 func TestDropIsTypedError(t *testing.T) {
 	tr := Wrap(cluster.NewLocalTransport(2), 7, Rule{From: Any, To: Any, Drop: 1})
-	_, err := tr.Route(envs(2))
+	_, err := exchange(context.Background(), tr, "", envs(2))
 	if err == nil {
 		t.Fatal("Drop=1 should fail the exchange")
 	}
@@ -73,7 +116,7 @@ func TestDropIsTypedError(t *testing.T) {
 // TestFailDialIsTypedError verifies the exchange-level fail-dial fault.
 func TestFailDialIsTypedError(t *testing.T) {
 	tr := Wrap(cluster.NewLocalTransport(2), 7, Rule{From: Any, To: Any, FailDial: 1})
-	_, err := tr.Route(envs(2))
+	_, err := exchange(context.Background(), tr, "", envs(2))
 	if !errors.Is(err, cluster.ErrTransport) || !errors.Is(err, ErrInjected) {
 		t.Fatalf("fail-dial error not typed: %v", err)
 	}
@@ -90,7 +133,7 @@ func TestCorruptFlipsCopyNotOriginal(t *testing.T) {
 	tr := Wrap(cluster.NewLocalTransport(2), 7, Rule{From: 0, To: 1, Corrupt: 1})
 	bySender := envs(2)
 	orig := bySender[0][1].Payload // the 0→1 leg
-	out, err := tr.Route(bySender)
+	out, err := exchange(context.Background(), tr, "", bySender)
 	if err != nil {
 		t.Fatalf("corruption should not fail the exchange itself: %v", err)
 	}
@@ -118,10 +161,10 @@ func TestCorruptFlipsCopyNotOriginal(t *testing.T) {
 // phase substring and one leg must not fire elsewhere.
 func TestRuleScoping(t *testing.T) {
 	tr := Wrap(cluster.NewLocalTransport(2), 7, Rule{Phase: "hcube", From: 1, To: 0, Drop: 1})
-	if _, err := tr.RouteExchange(context.Background(), "join/emit", envs(2)); err != nil {
+	if _, err := exchange(context.Background(), tr, "join/emit", envs(2)); err != nil {
 		t.Fatalf("rule fired outside its phase: %v", err)
 	}
-	if _, err := tr.RouteExchange(context.Background(), "hcube/push", envs(2)); err == nil {
+	if _, err := exchange(context.Background(), tr, "hcube/push", envs(2)); err == nil {
 		t.Fatal("rule did not fire in its phase")
 	}
 }
@@ -134,7 +177,7 @@ func TestDelayObservesContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := tr.RouteExchange(ctx, "slow", envs(2))
+	_, err := exchange(ctx, tr, "slow", envs(2))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
@@ -186,11 +229,11 @@ func TestPanicHookDeterministic(t *testing.T) {
 // restarts the budget.
 func TestTimesBoundsInjections(t *testing.T) {
 	tr := Wrap(cluster.NewLocalTransport(2), 9, Rule{From: Any, To: Any, Drop: 1, Times: 1})
-	if _, err := tr.Route(envs(2)); err == nil {
+	if _, err := exchange(context.Background(), tr, "", envs(2)); err == nil {
 		t.Fatal("first exchange should fail")
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := tr.Route(envs(2)); err != nil {
+		if _, err := exchange(context.Background(), tr, "", envs(2)); err != nil {
 			t.Fatalf("exchange %d after Times budget spent should succeed: %v", i, err)
 		}
 	}
@@ -198,7 +241,7 @@ func TestTimesBoundsInjections(t *testing.T) {
 		t.Fatalf("drops = %d, want exactly 1", tr.Stats().Drops)
 	}
 	tr.SetRules(Rule{From: Any, To: Any, Drop: 1, Times: 1})
-	if _, err := tr.Route(envs(2)); err == nil {
+	if _, err := exchange(context.Background(), tr, "", envs(2)); err == nil {
 		t.Fatal("SetRules should restart the Times budget")
 	}
 }
@@ -209,7 +252,7 @@ func TestTimesBoundsInjections(t *testing.T) {
 // streamRoundTrip opens a streaming exchange over tr, streams `chunks`
 // chunks from worker 0 to worker 1, closes the sender halves, and drains
 // receiver 1. It returns the drained payload copies or the first error.
-func streamRoundTrip(ctx context.Context, tr cluster.StreamTransport, chunks int) ([][]byte, error) {
+func streamRoundTrip(ctx context.Context, tr cluster.Transport, chunks int) ([][]byte, error) {
 	es, err := tr.OpenExchange(ctx, "stream", 8)
 	if err != nil {
 		return nil, err
@@ -336,5 +379,67 @@ func TestStreamDelayObservesContext(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("delay ignored context: took %v", elapsed)
+	}
+}
+
+// TestSequentialClusterReplaysSchedule drives a sequential cluster's
+// StreamExchange through the wrapper twice with one seed: producers and
+// consumers run in worker order, so the injected faults and every
+// exchange's error must replay exactly.
+func TestSequentialClusterReplaysSchedule(t *testing.T) {
+	const n, chunks = 3, 8
+	run := func() (Stats, []string) {
+		tr := Wrap(cluster.NewLocalTransport(n), 21, Rule{From: Any, To: Any, Drop: 0.004, Corrupt: 0.01})
+		c := cluster.New(cluster.Config{N: n, Transport: tr, Sequential: true})
+		defer c.Close()
+		var outcomes []string
+		for i := 0; i < 12; i++ {
+			err := c.StreamExchange(fmt.Sprintf("x%d", i),
+				func(w *cluster.Worker, s cluster.StreamSender) error {
+					for d := 0; d < n; d++ {
+						for k := 0; k < chunks; k++ {
+							e := cluster.Envelope{To: d, Key: "k", Chunk: int32(k), Payload: []byte{0xAD, byte(k)}}
+							if err := s.Send(e); err != nil {
+								return err
+							}
+						}
+					}
+					return nil
+				},
+				func(w *cluster.Worker, r cluster.StreamReceiver) error {
+					for {
+						e, ok, err := r.Recv()
+						if err != nil || !ok {
+							return err
+						}
+						if e.Payload[0] != 0xAD {
+							return fmt.Errorf("corrupt chunk %d from worker %d", e.Chunk, e.From)
+						}
+					}
+				})
+			outcome := "ok"
+			if err != nil {
+				outcome = err.Error()
+			}
+			outcomes = append(outcomes, outcome)
+		}
+		return tr.Stats(), outcomes
+	}
+	s1, o1 := run()
+	s2, o2 := run()
+	if s1 != s2 {
+		t.Fatalf("same seed, different stats: %+v vs %+v", s1, s2)
+	}
+	failed := 0
+	for i := range o1 {
+		if o1[i] != o2[i] {
+			t.Fatalf("exchange %d: same seed, different outcome:\n%s\n%s", i, o1[i], o2[i])
+		}
+		if o1[i] != "ok" {
+			failed++
+		}
+	}
+	if s1.Drops == 0 || s1.Corrupts == 0 || failed == 0 || failed == len(o1) {
+		t.Fatalf("schedule not exercised: stats %+v, %d of %d exchanges failed", s1, failed, len(o1))
 	}
 }

@@ -73,16 +73,6 @@ func New(q hypergraph.Query, rels []*relation.Relation, opts Options) (*Optimize
 	}, nil
 }
 
-// Probe is the β probe of §III-B: a shallow (depth-2) estimate over every
-// bound relation in the query's canonical attribute order, whose measured
-// extension rate scales β for raw relations. Issued before any other
-// estimate, it pays for the trie builds the later estimates reuse.
-func (o *Optimizer) Probe() (sampling.Estimate, error) {
-	return o.estimate(o.Rels, o.attrs, sampling.Config{
-		Samples: o.opts.Samples / 4, Seed: o.opts.Seed, MaxDepth: 2, Cancel: o.opts.Cancel,
-	})
-}
-
 // SubsetSize estimates |T_S|: the number of Leapfrog partial bindings over
 // the given attribute set (order-independent; memoized). The empty set has
 // size 1 (the empty binding t0).

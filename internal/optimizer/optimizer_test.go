@@ -251,10 +251,6 @@ func TestSharedEstimatorMatchesFreshEstimates(t *testing.T) {
 			}
 			return got, err
 		}
-		// The engine's order: the β probe first, then planning.
-		if _, err := o.Probe(); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := o.CoOptimize(); err != nil {
 			t.Fatal(err)
 		}
@@ -277,9 +273,6 @@ func TestCoOptimizePlanIndependentOfEstimatorMemo(t *testing.T) {
 		fresh.estimate = sampling.EstimateCardinality
 		var plans [2]*Plan
 		for i, o := range []*Optimizer{shared, fresh} {
-			if _, err := o.Probe(); err != nil {
-				t.Fatal(err)
-			}
 			p, err := o.CoOptimize()
 			if err != nil {
 				t.Fatal(err)

@@ -46,9 +46,8 @@ func DistributedEstimate(c *cluster.Cluster, relAttrs map[string][]string, order
 		return Estimate{}, fmt.Errorf("sampling: no relation contains first attribute %q", attr)
 	}
 	partials := make([][]relation.Value, c.N)
-	err := c.Exchange("sample/vala",
-		func(w *cluster.Worker) ([]cluster.Envelope, error) {
-			var out []cluster.Envelope
+	err := c.StreamExchange("sample/vala",
+		func(w *cluster.Worker, s cluster.StreamSender) error {
 			for _, name := range withA {
 				frag, ok := w.Rels[name]
 				if !ok {
@@ -60,24 +59,33 @@ func DistributedEstimate(c *cluster.Cluster, relAttrs map[string][]string, order
 					if p.Len() == 0 {
 						continue
 					}
-					out = append(out, cluster.Envelope{
+					if err := s.Send(cluster.Envelope{
 						To:      to,
 						Key:     "proj/" + name,
 						Payload: w.EncodeRelation(p),
 						Tuples:  int64(p.Len()),
-					})
+					}); err != nil {
+						return err
+					}
 				}
 			}
-			return out, nil
+			return nil
 		},
-		func(w *cluster.Worker, inbox []cluster.Envelope) error {
-			// Per relation, union the received values; then intersect across
-			// relations.
+		func(w *cluster.Worker, r cluster.StreamReceiver) error {
+			// Per relation, union the received values (decoded as each
+			// chunk lands); then intersect across relations.
 			perRel := make(map[string]map[relation.Value]bool, len(withA))
-			for _, e := range inbox {
-				r, err := relation.Decode(e.Payload)
+			for {
+				e, ok, err := r.Recv()
 				if err != nil {
 					return err
+				}
+				if !ok {
+					break
+				}
+				rel, err := relation.Decode(e.Payload)
+				if err != nil {
+					return cluster.CorruptPayload("sample/vala", err)
 				}
 				name := e.Key[len("proj/"):]
 				set, ok := perRel[name]
@@ -85,8 +93,8 @@ func DistributedEstimate(c *cluster.Cluster, relAttrs map[string][]string, order
 					set = make(map[relation.Value]bool)
 					perRel[name] = set
 				}
-				for i := 0; i < r.Len(); i++ {
-					set[r.Tuple(i)[0]] = true
+				for i := 0; i < rel.Len(); i++ {
+					set[rel.Tuple(i)[0]] = true
 				}
 			}
 			var local []relation.Value
@@ -141,9 +149,8 @@ func DistributedEstimate(c *cluster.Cluster, relAttrs map[string][]string, order
 	// Steps 3+4: semijoin-reduce A-relations against S' and broadcast the
 	// reduced database; every worker receives all fragments.
 	reduced := make([]map[string]*relation.Relation, c.N)
-	err = c.Exchange("sample/reduce",
-		func(w *cluster.Worker) ([]cluster.Envelope, error) {
-			var out []cluster.Envelope
+	err = c.StreamExchange("sample/reduce",
+		func(w *cluster.Worker, s cluster.StreamSender) error {
 			for name, attrs := range relAttrs {
 				frag, ok := w.Rels[name]
 				if !ok {
@@ -158,29 +165,50 @@ func DistributedEstimate(c *cluster.Cluster, relAttrs map[string][]string, order
 				}
 				payload := w.EncodeRelation(send)
 				for to := 0; to < w.N; to++ {
-					out = append(out, cluster.Envelope{
+					if err := s.Send(cluster.Envelope{
 						To:      to,
 						Key:     "red/" + name,
 						Payload: payload,
 						Tuples:  int64(send.Len()),
-					})
+					}); err != nil {
+						return err
+					}
 				}
 			}
-			return out, nil
+			return nil
 		},
-		func(w *cluster.Worker, inbox []cluster.Envelope) error {
-			db := make(map[string]*relation.Relation)
-			for _, e := range inbox {
-				r, err := relation.Decode(e.Payload)
+		func(w *cluster.Worker, r cluster.StreamReceiver) error {
+			// Decode each fragment as it lands, then append per relation
+			// in sender order so the reduced database does not depend on
+			// arrival order.
+			type frag struct {
+				from int
+				rel  *relation.Relation
+			}
+			perRel := make(map[string][]frag)
+			for {
+				e, ok, err := r.Recv()
 				if err != nil {
 					return err
 				}
-				name := e.Key[len("red/"):]
-				if acc, ok := db[name]; ok {
-					acc.AppendAll(r)
-				} else {
-					db[name] = r
+				if !ok {
+					break
 				}
+				rel, err := relation.Decode(e.Payload)
+				if err != nil {
+					return cluster.CorruptPayload("sample/reduce", err)
+				}
+				name := e.Key[len("red/"):]
+				perRel[name] = append(perRel[name], frag{e.From, rel})
+			}
+			db := make(map[string]*relation.Relation, len(perRel))
+			for name, frags := range perRel {
+				sort.Slice(frags, func(i, j int) bool { return frags[i].from < frags[j].from })
+				acc := frags[0].rel
+				for _, f := range frags[1:] {
+					acc.AppendAll(f.rel)
+				}
+				db[name] = acc
 			}
 			reduced[w.ID] = db
 			return nil

@@ -54,19 +54,10 @@ type Estimate struct {
 	// LevelOps[i] is the number of bindings visited at level i while
 	// sampling (raw, unscaled).
 	LevelOps []int64
-	// Seconds is the measured sampling time (feeds β, §III-B).
+	// Seconds is the measured sampling time.
 	Seconds float64
 	// Samples is the number of samples actually taken.
 	Samples int
-}
-
-// ExtensionsPerSecond returns the measured β: extension ops per second of
-// sampling time. Returns 0 when nothing was measured.
-func (e Estimate) ExtensionsPerSecond() float64 {
-	if e.Seconds <= 0 || e.WorkOps == 0 {
-		return 0
-	}
-	return float64(e.WorkOps) / e.Seconds
 }
 
 // SampleSize returns the k of Lemma 2: with k = ⌈0.5·p⁻²·ln(2/δ)⌉ samples,
