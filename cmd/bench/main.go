@@ -1,8 +1,7 @@
 // Command bench snapshots the performance of the execution hot path so PRs
 // have a trajectory to compare against. It runs the tier-2 micro-benchmarks
-// (trie build — row-major and columnar, k-way trie merge, single-cube
-// Leapfrog, result listing through the batched columnar sink vs the
-// per-tuple emit baseline, shuffle encode/decode on both layouts, hash
+// (trie build, k-way trie merge, single-cube Leapfrog, result listing
+// through the batched columnar sink, shuffle encode/decode, hash
 // partitioning) plus the triangle query end-to-end on every engine over a
 // generated power-law graph at CubesPerServer=4 (a shared-block workload),
 // verifies the engines agree on the result count, that the block-trie
@@ -270,19 +269,7 @@ func bench(fn func(b *testing.B)) Metric {
 // relation, sort+dedup, FromSorted), reconstructed from public API as the
 // comparison baseline.
 func buildReference(r *relation.Relation, attrs []string) *trie.Trie {
-	cols := make([]int, len(attrs))
-	for i, a := range attrs {
-		cols[i] = r.AttrIndex(a)
-	}
-	perm := relation.NewWithCapacity(r.Name, r.Len(), attrs...)
-	row := make([]relation.Value, len(attrs))
-	for i, n := 0, r.Len(); i < n; i++ {
-		t := r.Tuple(i)
-		for j, c := range cols {
-			row[j] = t[c]
-		}
-		perm.AppendTuple(row)
-	}
+	perm := r.ProjectMulti(attrs...)
 	perm.SortDedup()
 	return trie.FromSorted(perm)
 }
@@ -566,22 +553,6 @@ func runMicroBenches(snap *Snapshot, edges *relation.Relation, rels []*relation.
 			buildReference(edges, []string{"src", "dst"})
 		}
 	})
-	// Columnar layout: same radix builder over a columnar-resident source
-	// (the layout every shuffled block arrives in after PR 2).
-	colEdges := edges.Clone().PivotToColumns()
-	snap.Benchmarks["trie_build_columnar"] = bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			trie.Build(colEdges, []string{"src", "dst"})
-		}
-	})
-	sortedColEdges := edges.Clone().PivotToColumns().Sort()
-	snap.Benchmarks["trie_build_columnar_sorted"] = bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			trie.Build(sortedColEdges, []string{"src", "dst"})
-		}
-	})
 
 	// --- Single-cube Leapfrog: join over pre-built tries, and the full
 	// cube pipeline (trie construction + join) the engines actually run ---
@@ -623,18 +594,12 @@ func runMicroBenches(snap *Snapshot, edges *relation.Relation, rels []*relation.
 		}
 	})
 
-	// --- Shuffle codec: batched delta format vs legacy fixed-width, plus
-	// the columnar encoder (one contiguous run per column, no gather) ---
+	// --- Shuffle codec: batched delta format, one contiguous run per
+	// column ---
 	block := edges.Clone()
 	block.Sort()
-	colBlock := block.Clone().PivotToColumns()
 	encoded := relation.Encode(block)
-	if colEnc := relation.Encode(colBlock); !bytes.Equal(encoded, colEnc) {
-		fatal(fmt.Errorf("columnar encoder produced different wire bytes"))
-	}
-	encodedRaw := relation.EncodeRaw(block)
 	snap.EncodedBytes["delta"] = len(encoded)
-	snap.EncodedBytes["raw"] = len(encodedRaw)
 	scratch := make([]byte, 0, len(encoded))
 	snap.Benchmarks["shuffle_encode"] = bench(func(b *testing.B) {
 		b.ReportAllocs()
@@ -642,31 +607,11 @@ func runMicroBenches(snap *Snapshot, edges *relation.Relation, rels []*relation.
 			scratch = relation.AppendEncode(scratch[:0], block)
 		}
 	})
-	snap.Benchmarks["shuffle_encode_columnar"] = bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			scratch = relation.AppendEncode(scratch[:0], colBlock)
-		}
-	})
-	snap.Benchmarks["shuffle_encode_reference"] = bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			relation.EncodeRaw(block)
-		}
-	})
 	var decodeScratch relation.Relation
 	snap.Benchmarks["shuffle_decode"] = bench(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := relation.DecodeInto(encoded, &decodeScratch); err != nil {
-				fatal(err)
-			}
-		}
-	})
-	snap.Benchmarks["shuffle_decode_reference"] = bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := relation.DecodeRaw(encodedRaw); err != nil {
 				fatal(err)
 			}
 		}
@@ -685,27 +630,14 @@ func runMicroBenches(snap *Snapshot, edges *relation.Relation, rels []*relation.
 		AllocsPerOp: snap.Benchmarks["shuffle_encode"].AllocsPerOp +
 			snap.Benchmarks["shuffle_decode"].AllocsPerOp,
 	}
-	snap.Benchmarks["shuffle_roundtrip_reference"] = Metric{
-		NsPerOp: snap.Benchmarks["shuffle_encode_reference"].NsPerOp +
-			wire(len(encodedRaw)) +
-			snap.Benchmarks["shuffle_decode_reference"].NsPerOp,
-		AllocsPerOp: snap.Benchmarks["shuffle_encode_reference"].AllocsPerOp +
-			snap.Benchmarks["shuffle_decode_reference"].AllocsPerOp,
-	}
 
-	// --- Hash partitioner: column-scan hash + single scatter, row-major
-	// vs columnar-resident input (the BinaryJoin/BigJoin repartition and
-	// the sampler's value partitioning) ---
-	snap.Benchmarks["partition_rowmajor"] = bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			edges.PartitionBy([]int{0}, workers)
-		}
-	})
+	// --- Hash partitioner: column-scan hash + single scatter per column
+	// (the BinaryJoin/BigJoin repartition and the sampler's value
+	// partitioning) ---
 	snap.Benchmarks["partition_columnar"] = bench(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			colEdges.PartitionBy([]int{0}, workers)
+			edges.PartitionBy([]int{0}, workers)
 		}
 	})
 
@@ -749,13 +681,10 @@ const emitAllocCeiling = 256
 // R(a,b) ⋈ S(b,c), whose output volume dwarfs the input (every hub
 // contributes deg·deg results) and whose leaf intersections are whole
 // adjacency lists — the ring-of-1 runs the sink receives as zero-copy
-// slices. Results materialize as a columnar-resident relation, once
-// through the batched columnar sink (leapfrog.Sink →
-// relation.ColumnWriter) and once through the per-tuple emit baseline
-// (row-major append + the pivot to columns every downstream consumer —
-// shuffle encode, merge, trie build — would force anyway). Asserts both
-// paths list identical relations, that the sink path's emitted-run
-// counters engage, and that the sink's allocs/op stay under
+// slices. Results materialize through the batched columnar sink
+// (leapfrog.Sink → relation.ColumnWriter). Asserts the sink lists exactly
+// the relation an independent hash-join oracle computes, that the
+// emitted-run counters engage, and that the sink's allocs/op stay under
 // emitAllocCeiling — in quick mode too, so CI catches a silent regression
 // to per-tuple emission.
 func benchEmitPipeline(snap *Snapshot, edges *relation.Relation) {
@@ -774,22 +703,11 @@ func benchEmitPipeline(snap *Snapshot, edges *relation.Relation) {
 		}
 		return out, st
 	}
-	runPerTuple := func() (*relation.Relation, leapfrog.Stats) {
-		out := relation.New("out", order...)
-		st, err := leapfrog.Join(tries, order, leapfrog.Options{
-			Emit: func(t relation.Tuple) { out.AppendTuple(t) },
-		})
-		if err != nil {
-			fatal(err)
-		}
-		out.PivotToColumns()
-		return out, st
-	}
 	sinkOut, sinkSt := runSink()
-	tupleOut, tupleSt := runPerTuple()
-	if sinkSt.Results != tupleSt.Results || !sinkOut.Equal(tupleOut) {
-		fatal(fmt.Errorf("emit paths disagree: sink %d tuples vs per-tuple %d",
-			sinkOut.Len(), tupleOut.Len()))
+	oracle := relation.JoinAll(rels).SortDedup()
+	if sinkSt.Results != int64(oracle.Len()) || !sinkOut.Equal(oracle) {
+		fatal(fmt.Errorf("emit sink disagrees with the hash-join oracle: %d vs %d tuples",
+			sinkOut.Len(), oracle.Len()))
 	}
 	if sinkSt.Results > 0 && (sinkSt.EmittedRuns == 0 || sinkSt.EmittedValues != sinkSt.Results) {
 		fatal(fmt.Errorf("batched emit did not engage: %d results, %d runs, %d values",
@@ -801,29 +719,21 @@ func benchEmitPipeline(snap *Snapshot, edges *relation.Relation) {
 			runSink()
 		}
 	})
-	snap.Benchmarks["leapfrog_emit_pertuple"] = bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			runPerTuple()
-		}
-	})
 	sink := snap.Benchmarks["leapfrog_emit_sink"]
-	pt := snap.Benchmarks["leapfrog_emit_pertuple"]
 	if sink.AllocsPerOp > emitAllocCeiling {
 		fatal(fmt.Errorf("emit sink allocates %d/op, ceiling %d: batched path regressed toward per-tuple",
 			sink.AllocsPerOp, emitAllocCeiling))
 	}
 	fmt.Fprintf(os.Stderr,
-		"emit listing: sink %.0f ns/op (%d allocs, %d B) vs per-tuple %.0f ns/op (%d allocs, %d B) — %.2fx, runlen %.1f\n",
+		"emit listing: sink %.0f ns/op (%d allocs, %d B), runlen %.1f\n",
 		sink.NsPerOp, sink.AllocsPerOp, sink.BytesPerOp,
-		pt.NsPerOp, pt.AllocsPerOp, pt.BytesPerOp,
-		pt.NsPerOp/sink.NsPerOp, float64(sinkSt.EmittedValues)/float64(max(sinkSt.EmittedRuns, 1)))
+		float64(sinkSt.EmittedValues)/float64(max(sinkSt.EmittedRuns, 1)))
 }
 
 // emitEngineSmoke asserts the engines' collected output rides the batched
 // sink: a CollectOutput run must report nonzero emitted-run counters with
-// values matching the result count, and must list exactly the relation
-// the legacy per-tuple shim produces.
+// values matching the result count, and must list exactly the relation an
+// independent hash-join oracle computes.
 func emitEngineSmoke(q hypergraph.Query, rels []*relation.Relation, workers, cubes int) {
 	cfg := engine.Config{NumServers: workers, Samples: 300, Seed: 1,
 		CubesPerServer: cubes, CollectOutput: true}
@@ -837,16 +747,12 @@ func emitEngineSmoke(q hypergraph.Query, rels []*relation.Relation, workers, cub
 	if rep.EmittedValues != rep.Results {
 		fatal(fmt.Errorf("ADJ CollectOutput: emitted values %d != results %d", rep.EmittedValues, rep.Results))
 	}
-	cfg.PerTupleEmit = true
-	shim, err := engine.RunADJ(q, rels, cfg)
-	if err != nil {
-		fatal(err)
+	oracle := relation.JoinAll(rels).Project(rep.Output.Attrs...)
+	if rep.Results != int64(oracle.Len()) || !rep.Output.Clone().SortDedup().Equal(oracle) {
+		fatal(fmt.Errorf("ADJ sink output differs from the hash-join oracle (%d vs %d tuples)",
+			rep.Output.Len(), oracle.Len()))
 	}
-	if rep.Results != shim.Results || !rep.Output.Equal(shim.Output) {
-		fatal(fmt.Errorf("ADJ sink output differs from per-tuple shim (%d vs %d tuples)",
-			rep.Output.Len(), shim.Output.Len()))
-	}
-	fmt.Fprintf(os.Stderr, "engine emit smoke: ADJ results=%d runs=%d (runlen %.1f), sink == shim\n",
+	fmt.Fprintf(os.Stderr, "engine emit smoke: ADJ results=%d runs=%d (runlen %.1f), sink == oracle\n",
 		rep.Results, rep.EmittedRuns, float64(rep.EmittedValues)/float64(max(rep.EmittedRuns, 1)))
 }
 
@@ -1516,8 +1422,9 @@ func benchCubeCompute(snap *Snapshot, rels []*relation.Relation, order []string)
 				parts[sig][sd] = relation.New(r.Name, r.Attrs...)
 			}
 		}
+		var t []relation.Value
 		for i, n := 0, r.Len(); i < n; i++ {
-			t := r.Tuple(i)
+			t = r.Row(i, t)
 			parts[s.BlockSig(relPos, t)][i%senders].AppendTuple(t)
 		}
 		for sig := 0; sig < nb; sig++ {
@@ -1652,13 +1559,7 @@ func runEngines(q hypergraph.Query, rels []*relation.Relation, workers, cubes in
 // one trie per block — the shape trie.Merge sees at a Merge-shuffle
 // receiver.
 func blockTries(edges *relation.Relation, n int) []*trie.Trie {
-	parts := make([]*relation.Relation, n)
-	for i := range parts {
-		parts[i] = relation.New("B", "src", "dst")
-	}
-	for i, m := 0, edges.Len(); i < m; i++ {
-		parts[i%n].AppendTuple(edges.Tuple(i))
-	}
+	parts := edges.RoundRobin(n)
 	out := make([]*trie.Trie, n)
 	for i, p := range parts {
 		out[i] = trie.Build(p, []string{"src", "dst"})

@@ -402,13 +402,7 @@ func (c *Cluster) foldErrors(phase string, errs []error) error {
 // initial placement a distributed file system gives you). Fragments keep
 // the relation's name.
 func (c *Cluster) LoadRelation(r *relation.Relation) {
-	frags := make([]*relation.Relation, c.N)
-	for i := range frags {
-		frags[i] = relation.New(r.Name, r.Attrs...)
-	}
-	for i, n := 0, r.Len(); i < n; i++ {
-		frags[i%c.N].AppendTuple(r.Tuple(i))
-	}
+	frags := r.RoundRobin(c.N)
 	for i, w := range c.Workers {
 		w.Rels[r.Name] = frags[i]
 	}

@@ -70,9 +70,9 @@ func WriteSNAP(w io.Writer, r *relation.Relation) error {
 	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# %s: %d edges\n", r.Name, r.Len())
-	for i, n := 0, r.Len(); i < n; i++ {
-		t := r.Tuple(i)
-		fmt.Fprintf(bw, "%d\t%d\n", t[0], t[1])
+	src, dst := r.Column(0), r.Column(1)
+	for i := range src {
+		fmt.Fprintf(bw, "%d\t%d\n", src[i], dst[i])
 	}
 	return bw.Flush()
 }

@@ -26,14 +26,9 @@ func RunBigJoin(q hypergraph.Query, rels []*relation.Relation, cfg Config) (Repo
 // scatter distributes a coordinator-built relation round-robin as the
 // workers' "bindings" fragments (counted as a broadcast-free placement).
 func scatter(c *cluster.Cluster, phase string, r *relation.Relation) {
-	frags := make([]*relation.Relation, c.N)
-	for i := range frags {
-		frags[i] = relation.New("bindings", r.Attrs...)
-	}
-	for i := 0; i < r.Len(); i++ {
-		frags[i%c.N].AppendTuple(r.Tuple(i))
-	}
+	frags := r.RoundRobin(c.N)
 	for i, w := range c.Workers {
+		frags[i].Name = "bindings"
 		w.Rels["bindings"] = frags[i]
 	}
 }
@@ -114,8 +109,7 @@ func proposeRound(c *cluster.Cluster, phase string, prop *relation.Relation, pre
 			// blowups must fail fast, not after materializing everything).
 			// Each binding extends into a run — the binding prefix repeated
 			// over its candidate values — so the extension writes through
-			// the columnar run writer and the round's output feeds the next
-			// shuffle's EncodeRelation columnar-native, with no pivot.
+			// the columnar run writer.
 			perWorkerCap := int64(0)
 			if cfg.Budget > 0 {
 				perWorkerCap = cfg.Budget
@@ -127,25 +121,26 @@ func proposeRound(c *cluster.Cluster, phase string, prop *relation.Relation, pre
 			}
 			if len(boundAttrs) == 0 {
 				cands := idx.Distinct(attr)
+				var row []relation.Value
 				for i := 0; i < binds.Len(); i++ {
-					cw.BeginRun(binds.Tuple(i))
+					row = binds.Row(i, row)
+					cw.BeginRun(row)
 					cw.AppendRun(cands)
 					if overCap() {
 						return ErrBudget
 					}
 				}
 			} else {
-				attrPos := idx.AttrIndex(attr)
+				attrCol := idx.Column(idx.AttrIndex(attr))
 				keyCols := attrIdx(idx.Attrs, boundAttrs)
 				index := make(map[string][]relation.Value)
 				kbuf := make([]relation.Value, len(boundAttrs))
 				for i := 0; i < idx.Len(); i++ {
-					t := idx.Tuple(i)
 					for j, kc := range keyCols {
-						kbuf[j] = t[kc]
+						kbuf[j] = idx.Column(kc)[i]
 					}
 					k := keyString(kbuf)
-					index[k] = append(index[k], t[attrPos])
+					index[k] = append(index[k], attrCol[i])
 				}
 				for k := range index {
 					vs := index[k]
@@ -153,16 +148,17 @@ func proposeRound(c *cluster.Cluster, phase string, prop *relation.Relation, pre
 					index[k] = dedupVals(vs)
 				}
 				bindCols := attrIdx(binds.Attrs, boundAttrs)
+				var row []relation.Value
 				for i := 0; i < binds.Len(); i++ {
-					t := binds.Tuple(i)
+					row = binds.Row(i, row)
 					for j, bc := range bindCols {
-						kbuf[j] = t[bc]
+						kbuf[j] = row[bc]
 					}
 					cands := index[keyString(kbuf)]
 					if len(cands) == 0 {
 						continue
 					}
-					cw.BeginRun(t)
+					cw.BeginRun(row)
 					cw.AppendRun(cands)
 					if overCap() {
 						return ErrBudget
@@ -206,8 +202,7 @@ func verifyRound(c *cluster.Cluster, phase string, ver *relation.Relation, prefi
 				return nil
 			}
 			if idx == nil {
-				binds.SetData(binds.Data()[:0])
-				w.Rels["bindings"] = binds
+				w.Rels["bindings"] = relation.New(binds.Name, binds.Attrs...)
 				return nil
 			}
 			keep := binds.Semijoin(idx, checkAttrs)

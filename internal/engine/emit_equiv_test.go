@@ -5,76 +5,65 @@ import (
 	"testing"
 
 	"adj/internal/hypergraph"
+	"adj/internal/relation"
 	"adj/internal/testutil"
 )
 
-// The batched columnar result sink and the legacy per-tuple emit shim must
-// be observationally identical across all five engines: same result
-// counts, same materialized relations (contents and attribute order), in
-// both sequential and parallel scheduling. The sink path must additionally
-// report nonzero emitted-run counters on the Leapfrog engines — proof the
-// batched path engaged rather than silently degrading to per-tuple.
-func TestSinkShimOutputEquivalenceAllEngines(t *testing.T) {
+// The batched columnar result sink must list exactly the natural join
+// across all engines: same result count and, as a set, the same tuples as
+// an independent hash-join oracle, with no duplicates. Sequential and
+// parallel scheduling must materialize identical relations row for row
+// (cube outputs fold in deterministic cube order in both modes). The
+// Leapfrog engines must additionally report nonzero emitted-run counters —
+// proof the batched path engaged rather than silently degrading to
+// per-tuple delivery.
+func TestSinkOutputMatchesOracleAllEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for iter := 0; iter < 3; iter++ {
 		edges := testutil.RandEdges(rng, "E", 250+150*iter, int64(20+5*iter))
 		for _, q := range []hypergraph.Query{hypergraph.Q1(), hypergraph.Q2()} {
 			rels := q.BindGraph(edges)
+			joined := relation.JoinAll(rels)
 			for name, run := range Engines() {
+				var seqOut *relation.Relation
 				for _, sequential := range []bool{true, false} {
 					cfg := smallCfg(3)
 					cfg.CubesPerServer = 2
 					cfg.Sequential = sequential
 					cfg.CollectOutput = true
-					sinkRep, err := run(q, rels, cfg)
+					rep, err := run(q, rels, cfg)
 					if err != nil {
-						t.Fatalf("iter=%d %s/%s seq=%v sink: %v", iter, name, q.Name, sequential, err)
+						t.Fatalf("iter=%d %s/%s seq=%v: %v", iter, name, q.Name, sequential, err)
 					}
-					cfg.PerTupleEmit = true
-					shimRep, err := run(q, rels, cfg)
-					if err != nil {
-						t.Fatalf("iter=%d %s/%s seq=%v shim: %v", iter, name, q.Name, sequential, err)
+					out := rep.Output
+					if out == nil {
+						t.Fatalf("iter=%d %s/%s seq=%v: missing output", iter, name, q.Name, sequential)
 					}
-					if sinkRep.Results != shimRep.Results {
-						t.Fatalf("iter=%d %s/%s seq=%v: results sink=%d shim=%d",
-							iter, name, q.Name, sequential, sinkRep.Results, shimRep.Results)
-					}
-					a, b := sinkRep.Output, shimRep.Output
-					if a == nil || b == nil {
-						t.Fatalf("iter=%d %s/%s seq=%v: missing output (sink=%v shim=%v)",
-							iter, name, q.Name, sequential, a != nil, b != nil)
-					}
-					if len(a.Attrs) != len(b.Attrs) {
-						t.Fatalf("iter=%d %s/%s: attr arity differs: %v vs %v",
-							iter, name, q.Name, a.Attrs, b.Attrs)
-					}
-					for i := range a.Attrs {
-						if a.Attrs[i] != b.Attrs[i] {
-							t.Fatalf("iter=%d %s/%s: attribute order differs: %v vs %v",
-								iter, name, q.Name, a.Attrs, b.Attrs)
-						}
-					}
-					// Cube outputs fold in deterministic cube order in both
-					// modes, so the relations must match row for row — not
-					// just as multisets.
-					if !a.Equal(b) {
-						t.Fatalf("iter=%d %s/%s seq=%v: sink and shim outputs differ",
-							iter, name, q.Name, sequential)
-					}
-					if int64(a.Len()) != sinkRep.Results {
+					if int64(out.Len()) != rep.Results {
 						t.Fatalf("iter=%d %s/%s: output %d tuples, results=%d",
-							iter, name, q.Name, a.Len(), sinkRep.Results)
+							iter, name, q.Name, out.Len(), rep.Results)
+					}
+					oracle := joined.Project(out.Attrs...)
+					if got := out.Clone().SortDedup(); got.Len() != out.Len() || !got.Equal(oracle) {
+						t.Fatalf("iter=%d %s/%s seq=%v: output (%d tuples) differs from the hash-join oracle (%d tuples)",
+							iter, name, q.Name, sequential, out.Len(), oracle.Len())
+					}
+					if sequential {
+						seqOut = out
+					} else if !out.Equal(seqOut) {
+						t.Fatalf("iter=%d %s/%s: parallel output differs from sequential row for row",
+							iter, name, q.Name)
 					}
 					// Leapfrog engines must show batched emission engaged.
 					switch name {
 					case "ADJ", "HCubeJ", "HCubeJ+Cache":
-						if sinkRep.Results > 0 && sinkRep.EmittedRuns == 0 {
+						if rep.Results > 0 && rep.EmittedRuns == 0 {
 							t.Fatalf("iter=%d %s/%s: %d results but zero emitted runs",
-								iter, name, q.Name, sinkRep.Results)
+								iter, name, q.Name, rep.Results)
 						}
-						if sinkRep.EmittedValues != sinkRep.Results {
+						if rep.EmittedValues != rep.Results {
 							t.Fatalf("iter=%d %s/%s: emitted values=%d, results=%d",
-								iter, name, q.Name, sinkRep.EmittedValues, sinkRep.Results)
+								iter, name, q.Name, rep.EmittedValues, rep.Results)
 						}
 					}
 				}

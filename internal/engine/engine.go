@@ -61,10 +61,6 @@ type Config struct {
 	// CollectOutput materializes result tuples into Report.Output (tests);
 	// default counts only.
 	CollectOutput bool
-	// PerTupleEmit forces the legacy per-tuple emit shim instead of the
-	// batched columnar result sink when collecting output. Kept as the
-	// equivalence/benchmark baseline; production runs leave it false.
-	PerTupleEmit bool
 
 	// --- Session execution (see the adj package's Session API) ---
 
@@ -358,15 +354,10 @@ func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, orde
 			opts := leapfrog.Options{Budget: budgetPer, Cancel: cancelled}
 			if collect {
 				// Results stay columnar from the leaf intersection on: the
-				// sink appends whole runs to the cube's output columns. The
-				// per-tuple shim remains as the equivalence baseline.
+				// sink appends whole runs to the cube's output columns.
 				out := relation.New("out", order...)
 				perCubeOut[ci] = out
-				if cfg.PerTupleEmit {
-					opts.Emit = func(t relation.Tuple) { out.AppendTuple(t) }
-				} else {
-					opts.Sink = relation.NewColumnWriter(out)
-				}
+				opts.Sink = relation.NewColumnWriter(out)
 			}
 			var st leapfrog.Stats
 			if cached {

@@ -21,7 +21,7 @@ func TestCachedLeafDrainEquivalence(t *testing.T) {
 
 		collect := func(run func(Options) (Stats, error)) (int64, string) {
 			out := relation.New("out", order...)
-			st, err := run(Options{Emit: func(tp relation.Tuple) { out.AppendTuple(tp) }})
+			st, err := run(Options{Sink: relation.NewColumnWriter(out)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func TestDrainLeafMatchesExtend(t *testing.T) {
 			binding[0] = x
 			want, _ := ext.Extend(binding, 1)
 			var got []Value
-			cnt, _ := ext.DrainLeaf(binding, 1, -1, SinkFunc(func(t relation.Tuple) { got = append(got, t[1]) }))
+			cnt, _ := ext.DrainLeaf(binding, 1, -1, &tupleSink{emit: func(t []Value) { got = append(got, t[1]) }})
 			if int(cnt) != len(want) {
 				t.Fatalf("iter=%d k=%d x=%d: drained %d values, Extend found %d", iter, k, x, cnt, len(want))
 			}
@@ -82,7 +82,7 @@ func TestDrainLeafMatchesExtend(t *testing.T) {
 			if len(want) > 1 {
 				lim := int64(len(want) / 2)
 				var pre []Value
-				cnt, _ := ext.DrainLeaf(binding, 1, lim, SinkFunc(func(t relation.Tuple) { pre = append(pre, t[1]) }))
+				cnt, _ := ext.DrainLeaf(binding, 1, lim, &tupleSink{emit: func(t []Value) { pre = append(pre, t[1]) }})
 				if cnt != lim {
 					t.Fatalf("limited drain returned %d, want %d", cnt, lim)
 				}

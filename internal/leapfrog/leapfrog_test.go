@@ -11,6 +11,25 @@ import (
 	"adj/internal/testutil"
 )
 
+// tupleSink is a test Sink that reassembles each run into full tuples and
+// hands them to emit one at a time; the tuple aliases a reused buffer.
+type tupleSink struct {
+	emit func([]Value)
+	buf  []Value
+}
+
+func (s *tupleSink) BeginRun(prefix []Value) {
+	s.buf = append(append(s.buf[:0], prefix...), 0)
+}
+
+func (s *tupleSink) AppendRun(vals []Value) {
+	d := len(s.buf) - 1
+	for _, v := range vals {
+		s.buf[d] = v
+		s.emit(s.buf)
+	}
+}
+
 func TestTriangleSmall(t *testing.T) {
 	e := [][]Value{{1, 2}, {2, 3}, {1, 3}, {3, 1}, {2, 1}}
 	r1 := relation.FromTuples("R1", []string{"a", "b"}, e)
@@ -19,9 +38,9 @@ func TestTriangleSmall(t *testing.T) {
 	rels := []*relation.Relation{r1, r2, r3}
 	order := []string{"a", "b", "c"}
 	var got [][]Value
-	st, err := JoinRelations(rels, order, Options{Emit: func(tp relation.Tuple) {
+	st, err := JoinRelations(rels, order, Options{Sink: &tupleSink{emit: func(tp []Value) {
 		got = append(got, append([]Value(nil), tp...))
-	}})
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +111,7 @@ func TestEmitTuplesMatchNaive(t *testing.T) {
 	q, rels := testutil.RandQueryInstance(rng, 3, 3, 30, 5)
 	order := q.Attrs()
 	out := relation.New("out", order...)
-	_, err := JoinRelations(rels, order, Options{Emit: func(tp relation.Tuple) {
-		out.AppendTuple(tp)
-	}})
+	_, err := JoinRelations(rels, order, Options{Sink: relation.NewColumnWriter(out)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +162,8 @@ func TestFirstFixedMatchesSelection(t *testing.T) {
 	// Ground truth per a-value via naive join.
 	want := relation.NaiveJoin(rels, order)
 	counts := make(map[Value]int64)
-	for i := 0; i < want.Len(); i++ {
-		counts[want.Tuple(i)[0]]++
+	for _, v := range want.Column(0) {
+		counts[v]++
 	}
 	tries := BuildTries(rels, order)
 	for v := Value(0); v < 20; v++ {

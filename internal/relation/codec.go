@@ -3,7 +3,6 @@ package relation
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"adj/internal/deltaenc"
 )
@@ -31,31 +30,17 @@ import (
 //	uvarint tuple count n
 //	per column: one deltaenc run of n values (fixed-width or exception form)
 //
-// The legacy fixed-width row-major format (EncodeRaw/DecodeRaw) is kept as
-// the pre-batching benchmark baseline. Package trie applies the same
-// delta-run scheme to its flat level arrays (trie/codec.go).
+// Package trie applies the same delta-run scheme to its flat level arrays
+// (trie/codec.go).
 
 // codecMagic tags the batched delta format.
 const codecMagic = 0xAD
 
-// colScratch pools the gather buffer the row-major encode path stages each
-// column in before handing it to the shared run encoder. Keeping both
-// layouts on deltaenc.AppendRun guarantees byte-identical wire output —
-// width selection (including the exception-list form) cannot drift between
-// them.
-var colScratch = sync.Pool{New: func() interface{} {
-	s := make([]Value, 0, 1024)
-	return &s
-}}
-
 // AppendEncode serializes r onto dst (which may be nil or a recycled
 // buffer) and returns the extended slice. This is the allocation-free path:
 // callers that pool their buffers pay nothing beyond the payload itself.
-//
-// A columnar-resident relation encodes each column as one contiguous
-// deltaenc run — a pure sequential scan with no gather loop; row-major
-// input uses the strided column loops below. Both produce byte-identical
-// payloads (the per-run format is shared with deltaenc.AppendRun).
+// Each column encodes as one contiguous deltaenc run, a pure sequential
+// scan.
 func AppendEncode(dst []byte, r *Relation) []byte {
 	return AppendEncodeRange(dst, r, 0, r.Len())
 }
@@ -91,31 +76,9 @@ func AppendEncodeRange(dst []byte, r *Relation, lo, hi int) []byte {
 	if n == 0 || k == 0 {
 		return dst
 	}
-	if cs := r.colsView(); cs != nil {
-		for _, col := range cs {
-			dst = deltaenc.AppendRun(dst, col[lo:hi])
-		}
-		return dst
+	for _, col := range r.cols {
+		dst = deltaenc.AppendRun(dst, col[lo:hi])
 	}
-	// Row-major input: gather each column's range into pooled scratch and
-	// encode it through the same run encoder the columnar path uses, so
-	// both layouts produce byte-identical payloads.
-	sp := colScratch.Get().(*[]Value)
-	col := *sp
-	if cap(col) < n {
-		col = make([]Value, n)
-	} else {
-		col = col[:n]
-	}
-	data := r.data
-	for j := 0; j < k; j++ {
-		for i, o := lo*k+j, 0; o < n; i, o = i+k, o+1 {
-			col[o] = data[i]
-		}
-		dst = deltaenc.AppendRun(dst, col)
-	}
-	*sp = col[:0]
-	colScratch.Put(sp)
 	return dst
 }
 
@@ -143,14 +106,9 @@ func Decode(buf []byte) (*Relation, error) {
 // capacity suffices) and r's schema strings (when they match the payload).
 // Receivers that decode a stream of blocks into one scratch relation
 // allocate nothing in steady state. r must be owned by the caller — its
-// arrays are overwritten, so never pass a relation whose data or Attrs are
-// shared (e.g. via Renamed).
-//
-// The decoded relation is columnar-resident: each wire column is one
-// contiguous delta run, so decode writes every column with a single
-// sequential pass and downstream consumers (trie builds, cube appends)
-// pick up the columnar fast paths. Row-major views materialize lazily via
-// Data/Tuple.
+// arrays are overwritten, so never pass a relation whose columns or Attrs
+// are shared (e.g. via Renamed). Each wire column is one contiguous delta
+// run, so decode writes every column with a single sequential pass.
 func DecodeInto(buf []byte, r *Relation) error {
 	if len(buf) == 0 || buf[0] != codecMagic {
 		return fmt.Errorf("relation decode: bad magic (want 0x%02x)", codecMagic)
@@ -257,12 +215,6 @@ func DecodeInto(buf []byte, r *Relation) error {
 	r.Name = name
 	r.Attrs = attrs
 	r.cols = cols
-	if k > 0 {
-		r.lay = layoutCols
-	} else {
-		r.data = r.data[:0]
-		r.lay = layoutRows
-	}
 	return nil
 }
 
@@ -271,107 +223,11 @@ func DecodeInto(buf []byte, r *Relation) error {
 // its tuples to dst via the columnar appender. This is the streaming
 // receiver's incremental decode: chunks of one logical block accumulate
 // into dst in arrival order without materializing the whole block's bytes
-// first. The chunk's schema must match dst's (same arity; dst adopts the
-// chunk's schema when empty, as AppendAll does).
+// first. The chunk's arity must match dst's, as for AppendAll.
 func DecodeAppend(buf []byte, dst, scratch *Relation) error {
 	if err := DecodeInto(buf, scratch); err != nil {
 		return err
 	}
 	dst.AppendAll(scratch)
 	return nil
-}
-
-// EncodeRaw serializes r in the legacy fixed-width layout (u32 lengths,
-// u64 row-major values). Kept as the pre-batching baseline for the codec
-// benchmarks; the engines ship the delta-varint format.
-func EncodeRaw(r *Relation) []byte {
-	size := 4 + len(r.Name) + 4 + 8 + 8*len(r.data)
-	for _, a := range r.Attrs {
-		size += 4 + len(a)
-	}
-	buf := make([]byte, 0, size)
-	var b4 [4]byte
-	var b8 [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(b4[:], v)
-		buf = append(buf, b4[:]...)
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		buf = append(buf, b8[:]...)
-	}
-	put32(uint32(len(r.Name)))
-	buf = append(buf, r.Name...)
-	put32(uint32(len(r.Attrs)))
-	for _, a := range r.Attrs {
-		put32(uint32(len(a)))
-		buf = append(buf, a...)
-	}
-	put64(uint64(r.Len()))
-	for _, v := range r.data {
-		put64(uint64(v))
-	}
-	return buf
-}
-
-// DecodeRaw deserializes a relation encoded by EncodeRaw.
-func DecodeRaw(buf []byte) (*Relation, error) {
-	off := 0
-	get32 := func() (uint32, error) {
-		if off+4 > len(buf) {
-			return 0, fmt.Errorf("relation decode: truncated at %d", off)
-		}
-		v := binary.LittleEndian.Uint32(buf[off:])
-		off += 4
-		return v, nil
-	}
-	getStr := func() (string, error) {
-		n, err := get32()
-		if err != nil {
-			return "", err
-		}
-		if off+int(n) > len(buf) {
-			return "", fmt.Errorf("relation decode: truncated string at %d", off)
-		}
-		s := string(buf[off : off+int(n)])
-		off += int(n)
-		return s, nil
-	}
-	name, err := getStr()
-	if err != nil {
-		return nil, err
-	}
-	arity, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	if arity > 64 {
-		return nil, fmt.Errorf("relation decode: implausible arity %d", arity)
-	}
-	attrs := make([]string, arity)
-	for i := range attrs {
-		attrs[i], err = getStr()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if off+8 > len(buf) {
-		return nil, fmt.Errorf("relation decode: truncated count at %d", off)
-	}
-	count := binary.LittleEndian.Uint64(buf[off:])
-	off += 8
-	total := int(count) * int(arity)
-	if off+8*total > len(buf) {
-		return nil, fmt.Errorf("relation decode: truncated data: need %d values", total)
-	}
-	data := make([]Value, total)
-	for i := range data {
-		data[i] = Value(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("relation decode: %d trailing bytes", len(buf)-off)
-	}
-	r := &Relation{Name: name, Attrs: attrs, data: data}
-	return r, nil
 }

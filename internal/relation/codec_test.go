@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -40,6 +41,54 @@ func TestCodecRoundtripSingleTuple(t *testing.T) {
 	}
 	if !back.Equal(r) {
 		t.Fatal("single-tuple roundtrip mismatch")
+	}
+}
+
+// goldenRelation is the fixed relation the wire-format and fingerprint
+// golden tests pin: unsorted rows, a duplicate, negative values and a
+// 2^40 outlier that forces a wide delta column.
+func goldenRelation() *Relation {
+	return FromTuples("R", []string{"a", "b", "c"}, [][]Value{
+		{1, 2, 3}, {1, 2, 7}, {4, -5, 6}, {1000, 2, 3}, {1 << 40, 0, -1}, {4, -5, 6},
+	})
+}
+
+// TestEncodeGoldenBytes pins the wire format byte for byte: TCP payloads
+// and block-trie store keys depend on it, so any change here is a protocol
+// change, not a refactor.
+func TestEncodeGoldenBytes(t *testing.T) {
+	want := []byte{
+		0xad, 0x1, 0x52, 0x3, 0x1, 0x61, 0x1, 0x62, 0x1, 0x63, 0x6, 0x12,
+		0x2, 0x4, 0x0, 0x0, 0x0, 0x5, 0x0, 0x0, 0x0, 0x30, 0xf8, 0xff,
+		0xff, 0xff, 0x1, 0x0, 0x0, 0xf7, 0xff, 0xff, 0xff, 0xff, 0x1, 0x0,
+		0x0, 0x2, 0x0, 0x0, 0x0, 0x6, 0x0, 0xc8, 0x7, 0x0, 0x0, 0x0,
+		0x0, 0x1, 0x4, 0x0, 0xd, 0xe, 0x3, 0x9, 0x1, 0x6, 0x8, 0x1,
+		0x5, 0x7, 0xe,
+	}
+	r := goldenRelation()
+	if got := Encode(r); !bytes.Equal(got, want) {
+		t.Fatalf("wire bytes changed:\ngot  %#v\nwant %#v", got, want)
+	}
+	if got := AppendEncodeRange(nil, r, 0, r.Len()); !bytes.Equal(got, want) {
+		t.Fatal("AppendEncodeRange over the full range diverges from Encode")
+	}
+}
+
+// TestFingerprintGolden pins Fingerprint values: the block-trie store keys
+// entries by them, so they must not move.
+func TestFingerprintGolden(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		r    *Relation
+		want uint64
+	}{
+		{"golden", goldenRelation(), 0x9dd126a9cd6e0877},
+		{"empty arity 3", New("E", "a", "b", "c"), 0xd71e358174147ca6},
+		{"empty arity 0", New("E"), 0x88201fb960ff6465},
+	} {
+		if got := Fingerprint(c.r); got != c.want {
+			t.Errorf("%s: Fingerprint = %#x, want %#x", c.name, got, c.want)
+		}
 	}
 }
 
@@ -93,7 +142,7 @@ func TestDecodeIntoReusesBacking(t *testing.T) {
 	if !scratch.Equal(big) {
 		t.Fatal("first decode mismatch")
 	}
-	firstBacking := &scratch.data[0]
+	firstBacking := &scratch.cols[0][0]
 	small := FromTuples("small", []string{"x", "y"}, [][]Value{{5, 6}})
 	if err := DecodeInto(Encode(small), &scratch); err != nil {
 		t.Fatal(err)
@@ -101,7 +150,7 @@ func TestDecodeIntoReusesBacking(t *testing.T) {
 	if !scratch.Equal(small) {
 		t.Fatal("second decode mismatch")
 	}
-	if &scratch.data[0] != firstBacking {
+	if &scratch.cols[0][0] != firstBacking {
 		t.Fatal("DecodeInto should reuse the backing array when capacity suffices")
 	}
 }
@@ -114,20 +163,9 @@ func TestSortedRunsEncodeSmallerThanRaw(t *testing.T) {
 	}
 	r.Sort()
 	delta := len(Encode(r))
-	raw := len(EncodeRaw(r))
+	raw := 8 * r.Len() * r.Arity() // fixed-width 8-byte values, headers not counted
 	if delta*2 > raw {
 		t.Fatalf("delta-varint %dB should be well under half of raw %dB on sorted runs", delta, raw)
-	}
-}
-
-func TestRawCodecRoundtrip(t *testing.T) {
-	r := FromTuples("R", []string{"a", "b"}, [][]Value{{1, -2}, {3, 4}})
-	back, err := DecodeRaw(EncodeRaw(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(r) {
-		t.Fatal("raw roundtrip mismatch")
 	}
 }
 
@@ -150,15 +188,6 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeRaw(b *testing.B) {
-	r := benchRelation(20000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EncodeRaw(r)
-	}
-}
-
 func BenchmarkDecode(b *testing.B) {
 	r := benchRelation(20000)
 	buf := Encode(r)
@@ -167,18 +196,6 @@ func BenchmarkDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := DecodeInto(buf, &scratch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeRaw(b *testing.B) {
-	r := benchRelation(20000)
-	buf := EncodeRaw(r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeRaw(buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,7 +222,7 @@ func TestCodecCorruptPayloadFuzz(t *testing.T) {
 			}
 			r.AppendTuple(row)
 		}
-		buf := Encode(r.PivotToColumns())
+		buf := Encode(r)
 		mut := append([]byte(nil), buf...)
 		switch rng.Intn(3) {
 		case 0: // single byte flip
@@ -230,13 +247,18 @@ func TestCodecCorruptPayloadFuzz(t *testing.T) {
 			if err != nil {
 				return
 			}
-			// Structural consistency: every column the same length, Len
-			// and arity coherent, row view materializable.
+			// Structural consistency: one column per attribute, every
+			// column the same length.
 			if dec.Arity() > 64 {
 				t.Fatalf("iter %d: implausible arity %d accepted", iter, dec.Arity())
 			}
-			if got := len(dec.Data()); got != dec.Len()*dec.Arity() {
-				t.Fatalf("iter %d: inconsistent decoded shape: %d values for %dx%d", iter, got, dec.Len(), dec.Arity())
+			if got := len(dec.Columns()); got != dec.Arity() {
+				t.Fatalf("iter %d: %d columns for arity %d", iter, got, dec.Arity())
+			}
+			for j, col := range dec.Columns() {
+				if len(col) != dec.Len() {
+					t.Fatalf("iter %d: column %d has %d values, want %d", iter, j, len(col), dec.Len())
+				}
 			}
 		}()
 	}

@@ -1,12 +1,13 @@
 package relation
 
 import (
-	"bytes"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
-// randomRelation builds a random row-major relation with the given arity.
+// randomRelation builds a random relation with the given arity.
 func randomRelation(rng *rand.Rand, name string, arity, n, domain int) *Relation {
 	attrs := make([]string, arity)
 	for i := range attrs {
@@ -23,61 +24,69 @@ func randomRelation(rng *rand.Rand, name string, arity, n, domain int) *Relation
 	return r
 }
 
+// TestColumnsTransposeRoundtrip: rows appended one at a time come back as
+// per-attribute columns, Row gathers them back into the original tuples,
+// and a later Append extends every column.
 func TestColumnsTransposeRoundtrip(t *testing.T) {
-	r := FromTuples("R", []string{"a", "b", "c"}, [][]Value{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
+	rows := [][]Value{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
+	r := FromTuples("R", []string{"a", "b", "c"}, rows)
 	cols := r.Columns()
 	if len(cols) != 3 {
 		t.Fatalf("columns=%d", len(cols))
 	}
 	for j, want := range [][]Value{{1, 4, 7}, {2, 5, 8}, {3, 6, 9}} {
-		for i := range want {
-			if cols[j][i] != want[i] {
-				t.Fatalf("col %d = %v, want %v", j, cols[j], want)
-			}
+		if !slices.Equal(cols[j], want) {
+			t.Fatalf("col %d = %v, want %v", j, cols[j], want)
 		}
 	}
-	if !r.ColumnsResident() || !r.RowsResident() {
-		t.Fatal("after Columns() both representations should be in sync")
+	var row []Value
+	for i, want := range rows {
+		if row = r.Row(i, row); !slices.Equal(row, want) {
+			t.Fatalf("row %d = %v, want %v", i, row, want)
+		}
 	}
-	// A row mutation invalidates the columnar mirror; the next Columns()
-	// call must reflect the new content.
 	r.Append(10, 11, 12)
-	if r.ColumnsResident() {
-		t.Fatal("Append must invalidate the columnar view")
-	}
-	if got := r.Column(0); len(got) != 4 || got[3] != 10 {
-		t.Fatalf("column 0 after append = %v", got)
+	for j, want := range []Value{10, 11, 12} {
+		if got := r.Column(j); len(got) != 4 || got[3] != want {
+			t.Fatalf("column %d after append = %v", j, got)
+		}
 	}
 }
 
+// TestFromColumnsLazyRowPivot: a relation built from columns serves rows
+// by gathering them on demand into the caller's buffer, never by keeping
+// a row-major copy.
 func TestFromColumnsLazyRowPivot(t *testing.T) {
 	r := FromColumns("R", []string{"x", "y"}, [][]Value{{1, 3, 5}, {2, 4, 6}})
 	if r.Len() != 3 || r.Arity() != 2 {
 		t.Fatalf("len=%d arity=%d", r.Len(), r.Arity())
 	}
-	if r.RowsResident() {
-		t.Fatal("fresh columnar relation should not have rows materialized")
+	buf := make([]Value, 0, 2)
+	tup := r.Row(1, buf)
+	if tup[0] != 3 || tup[1] != 4 {
+		t.Fatalf("row 1 = %v", tup)
 	}
-	if tup := r.Tuple(1); tup[0] != 3 || tup[1] != 4 {
-		t.Fatalf("tuple 1 = %v", tup)
+	if &tup[0] != &buf[:1][0] {
+		t.Fatal("Row must gather into the caller's buffer")
 	}
-	if !r.RowsResident() {
-		t.Fatal("Tuple must materialize the row-major view")
+	tup[0] = 99
+	if r.Column(0)[1] != 3 {
+		t.Fatal("Row result must not alias the relation")
 	}
 	want := FromTuples("R", []string{"x", "y"}, [][]Value{{1, 2}, {3, 4}, {5, 6}})
 	if !r.Equal(want) {
-		t.Fatalf("pivot mismatch:\n%v\nvs\n%v", r, want)
+		t.Fatalf("mismatch:\n%v\nvs\n%v", r, want)
 	}
 }
 
+// TestAppendAllAdoptsColumnarLayout: AppendAll copies the source column
+// by column, into an empty receiver and after existing tuples alike.
 func TestAppendAllAdoptsColumnarLayout(t *testing.T) {
 	src := FromColumns("S", []string{"x", "y"}, [][]Value{{1, 2}, {10, 20}})
 	dst := New("D", "x", "y")
 	dst.AppendAll(src)
-	if !dst.ColumnsResident() || dst.RowsResident() {
-		t.Fatal("append of a columnar block into an empty relation should stay columnar")
-	}
 	dst.AppendAll(src)
+	dst.AppendAll(New("E", "x", "y"))
 	if dst.Len() != 4 {
 		t.Fatalf("len=%d", dst.Len())
 	}
@@ -87,7 +96,7 @@ func TestAppendAllAdoptsColumnarLayout(t *testing.T) {
 	}
 	// Mutating the source afterwards must not affect dst (AppendAll copies).
 	src.Columns()[0][0] = 99
-	if dst.Tuple(0)[0] != 1 {
+	if dst.Column(0)[0] != 1 {
 		t.Fatal("AppendAll must copy column data")
 	}
 }
@@ -105,8 +114,8 @@ func TestAppendColumns(t *testing.T) {
 func TestClonePreservesColumnarLayout(t *testing.T) {
 	r := FromColumns("R", []string{"a"}, [][]Value{{1, 2, 3}})
 	c := r.Clone()
-	if !c.ColumnsResident() {
-		t.Fatal("clone of a columnar relation should stay columnar")
+	if !c.Equal(r) {
+		t.Fatalf("clone = %v, want %v", c, r)
 	}
 	c.Columns()[0][0] = 42
 	if r.Column(0)[0] != 1 {
@@ -123,87 +132,90 @@ func TestRenamedCopiesAttrsSlice(t *testing.T) {
 	if r.Attrs[0] != "a" {
 		t.Fatalf("renaming aliased the schema: %v", r.Attrs)
 	}
-	if s.Tuple(0)[0] != 1 {
+	if s.Column(0)[0] != 1 {
 		t.Fatal("renamed relation lost data")
 	}
 }
 
+// rowsOf gathers every tuple of r into its own slice: the row-at-a-time
+// reference the column kernels are checked against.
+func rowsOf(r *Relation) [][]Value {
+	rows := make([][]Value, r.Len())
+	for i := range rows {
+		rows[i] = r.Row(i, nil)
+	}
+	return rows
+}
+
+// TestSortDedupColumnarMatchesRowMajor checks the column-wise Sort and
+// Dedup against a row-major reference: gathered rows sorted with a
+// lexicographic comparator and deduplicated pairwise.
 func TestSortDedupColumnarMatchesRowMajor(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 100; iter++ {
 		arity := 1 + rng.Intn(4)
 		n := rng.Intn(120)
-		row := randomRelation(rng, "R", arity, n, 8) // small domain forces duplicates
-		col := row.Clone().PivotToColumns()
-		row.Sort().Dedup()
-		col.Sort().Dedup()
-		if !col.ColumnsResident() {
-			t.Fatal("columnar relation should stay columnar through Sort/Dedup")
-		}
-		if !row.Equal(col) {
-			t.Fatalf("iter %d: sort+dedup diverged:\n%v\nvs\n%v", iter, row, col)
+		r := randomRelation(rng, "R", arity, n, 8) // small domain forces duplicates
+		want := rowsOf(r)
+		sort.Slice(want, func(x, y int) bool { return slices.Compare(want[x], want[y]) < 0 })
+		want = slices.CompactFunc(want, slices.Equal)
+		r.Sort().Dedup()
+		if got := rowsOf(r); !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("iter %d: sort+dedup diverged:\n%v\nvs\n%v", iter, got, want)
 		}
 	}
 }
 
+// TestPartitionByColumnarMatchesRowMajor checks the column-wise PartitionBy
+// against a row-major reference: each gathered row hashed on its key
+// columns (HashValue for one column, HashTuple otherwise) and appended to
+// its partition in input order.
 func TestPartitionByColumnarMatchesRowMajor(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for iter := 0; iter < 60; iter++ {
 		arity := 1 + rng.Intn(3)
 		n := rng.Intn(200)
 		parts := 1 + rng.Intn(5)
-		row := randomRelation(rng, "R", arity, n, 1000)
-		col := row.Clone().PivotToColumns()
-		var cols []int
-		nc := 1 + rng.Intn(arity)
-		perm := rng.Perm(arity)
-		cols = append(cols, perm[:nc]...)
-		rp := row.PartitionBy(cols, parts)
-		cp := col.PartitionBy(cols, parts)
-		if len(rp) != len(cp) {
-			t.Fatalf("iter %d: %d vs %d partitions", iter, len(rp), len(cp))
+		r := randomRelation(rng, "R", arity, n, 1000)
+		cols := rng.Perm(arity)[:1+rng.Intn(arity)]
+		want := make([][][]Value, parts)
+		for _, row := range rowsOf(r) {
+			p := 0
+			if len(cols) == 1 {
+				p = HashValue(row[cols[0]], parts)
+			} else {
+				key := make([]Value, len(cols))
+				for j, c := range cols {
+					key[j] = row[c]
+				}
+				p = HashTuple(key, parts)
+			}
+			want[p] = append(want[p], row)
 		}
-		for p := range rp {
-			if !rp[p].Equal(cp[p]) {
-				t.Fatalf("iter %d: partition %d diverged:\n%v\nvs\n%v", iter, p, rp[p], cp[p])
+		got := r.PartitionBy(cols, parts)
+		if len(got) != parts {
+			t.Fatalf("iter %d: %d partitions, want %d", iter, len(got), parts)
+		}
+		for p := range got {
+			if rows := rowsOf(got[p]); !slices.EqualFunc(rows, want[p], slices.Equal) {
+				t.Fatalf("iter %d: partition %d diverged:\n%v\nvs\n%v", iter, p, rows, want[p])
 			}
 		}
 	}
 }
 
-func TestEncodeColumnarRowMajorIdenticalBytes(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for iter := 0; iter < 80; iter++ {
-		arity := 1 + rng.Intn(4)
-		n := rng.Intn(150)
-		row := randomRelation(rng, "R", arity, n, 1<<20)
-		if rng.Intn(2) == 0 {
-			row.Sort() // exercise the sorted-run case the shuffle ships
-		}
-		col := row.Clone().PivotToColumns()
-		rb := Encode(row)
-		cb := Encode(col)
-		if !bytes.Equal(rb, cb) {
-			t.Fatalf("iter %d: wire bytes diverge between layouts (%d vs %d bytes)", iter, len(rb), len(cb))
-		}
-		dec, err := Decode(cb)
-		if err != nil {
-			t.Fatalf("iter %d: decode: %v", iter, err)
-		}
-		if !dec.Equal(row) {
-			t.Fatalf("iter %d: decode mismatch", iter)
-		}
-	}
-}
-
+// TestDecodeIsColumnarResident: each wire column decodes straight into one
+// relation column.
 func TestDecodeIsColumnarResident(t *testing.T) {
 	r := FromTuples("R", []string{"a", "b"}, [][]Value{{1, 2}, {3, 4}})
 	dec, err := Decode(Encode(r))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.ColumnsResident() || dec.RowsResident() {
-		t.Fatal("decoded relation should be columnar-resident")
+	for j, want := range [][]Value{{1, 3}, {2, 4}} {
+		if got := dec.Column(j); !slices.Equal(got, want) {
+			t.Fatalf("decoded column %d = %v, want %v", j, got, want)
+		}
 	}
 	if !dec.Equal(r) {
 		t.Fatalf("roundtrip mismatch: %v", dec)
@@ -232,57 +244,57 @@ func TestDecodeIntoReusesColumnBacking(t *testing.T) {
 	}
 }
 
+// TestHashJoinAcrossLayoutsMatches checks the column-wise hash join against
+// a row-major nested-loop reference over gathered rows, as multisets, with
+// either input the smaller one so both build-side choices run.
 func TestHashJoinAcrossLayoutsMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for iter := 0; iter < 40; iter++ {
 		r := randomRelation(rng, "R", 2, rng.Intn(60), 20)
 		r.Attrs = []string{"a", "b"}
-		s := randomRelation(rng, "S", 2, rng.Intn(60), 20)
-		s.Attrs = []string{"b", "c"}
-		want := HashJoin(r, s).SortDedup()
-		got := HashJoin(r.Clone().PivotToColumns(), s.Clone().PivotToColumns()).SortDedup()
-		if !want.Equal(got) {
-			t.Fatalf("iter %d: join diverged across layouts", iter)
+		s := randomRelation(rng, "S", 3, rng.Intn(60), 20)
+		s.Attrs = []string{"b", "c", "a"}
+		want := New("want", "a", "b", "c")
+		for _, rt := range rowsOf(r) {
+			for _, st := range rowsOf(s) {
+				if rt[0] == st[2] && rt[1] == st[0] {
+					want.Append(rt[0], rt[1], st[1])
+				}
+			}
+		}
+		if got := HashJoin(r, s); !got.Sort().Equal(want.Sort()) {
+			t.Fatalf("iter %d: hash join (%d tuples) differs from nested-loop reference (%d tuples)", iter, got.Len(), want.Len())
 		}
 	}
 }
 
+// TestPivotsAreInverse: gathering every row with Row and appending it back
+// with AppendTuple rebuilds an equal relation.
 func TestPivotsAreInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	r := randomRelation(rng, "R", 3, 100, 50)
-	orig := r.Clone()
-	r.PivotToColumns().PivotToRows().PivotToColumns()
-	if !r.Equal(orig) {
-		t.Fatal("pivot roundtrip changed content")
+	back := New("R", r.Attrs...)
+	for _, row := range rowsOf(r) {
+		back.AppendTuple(row)
+	}
+	if !back.Equal(r) {
+		t.Fatal("row gather and append roundtrip changed content")
 	}
 }
 
-// TestRenamedAliasMutationStaysConsistent is the layout-aliasing
-// regression: after a sibling created by Renamed sorts the shared backing
-// in place, the original must not serve a stale cached transpose — its
-// secondary view has to be re-derived from the mutated storage.
+// TestRenamedAliasMutationStaysConsistent: Renamed siblings share column
+// contents, so an in-place sort through one alias is visible through the
+// other.
 func TestRenamedAliasMutationStaysConsistent(t *testing.T) {
 	r := FromTuples("R", []string{"a", "b"}, [][]Value{{3, 30}, {1, 10}, {2, 20}})
-	r.Columns() // cache the columnar mirror (layoutBoth)
 	s := r.Renamed("S")
-	s.Sort() // mutates the shared row backing in place
-	wantCol0 := []Value{1, 2, 3}
-	got := r.Column(0)
-	for i := range wantCol0 {
-		if got[i] != wantCol0[i] {
-			t.Fatalf("original served a stale columnar view after sibling sort: col0=%v", got)
-		}
+	s.Sort() // permutes the shared columns in place
+	want := FromTuples("R", []string{"a", "b"}, [][]Value{{1, 10}, {2, 20}, {3, 30}})
+	if !r.Equal(want) {
+		t.Fatalf("sibling sort not visible through the original: %v", r)
 	}
-	if r.Tuple(0)[0] != 1 || s.Tuple(0)[0] != 1 {
-		t.Fatalf("shared backing not sorted: r=%v s=%v", r.Tuple(0), s.Tuple(0))
-	}
-
-	// Columnar-authoritative receiver: the sibling shares the columns.
-	c := FromColumns("C", []string{"a"}, [][]Value{{3, 1, 2}})
-	cs := c.Renamed("CS")
-	cs.Sort()
-	if v := c.Column(0); v[0] != 1 || v[1] != 2 || v[2] != 3 {
-		t.Fatalf("columnar sibling sort not visible through alias: %v", v)
+	if !s.Equal(want) {
+		t.Fatalf("renamed relation not sorted: %v", s)
 	}
 }
 

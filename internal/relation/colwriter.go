@@ -10,9 +10,8 @@ import "fmt"
 // varying last column (AppendRun); the writer replicates the prefix values
 // with tight fill loops instead of copying a full row per tuple.
 //
-// The target relation becomes (or stays) columnar-resident and is kept
-// consistent after every append, so it can be read, merged (AppendAll
-// adopts the columnar layout) or encoded at any point. The writer owns the
+// The target relation is kept consistent after every append, so it can be
+// read, merged (AppendAll) or encoded at any point. The writer owns the
 // relation's column storage while attached: do not mutate the relation
 // through other methods until the writer is dropped.
 //
@@ -27,14 +26,13 @@ type ColumnWriter struct {
 }
 
 // NewColumnWriter attaches a writer to r. r may already hold tuples (new
-// runs append after them) and may use either layout; it is pivoted to
-// columnar residency.
+// runs append after them).
 func NewColumnWriter(r *Relation) *ColumnWriter {
 	if len(r.Attrs) == 0 {
 		panic(fmt.Sprintf("relation %q: ColumnWriter needs at least one attribute", r.Name))
 	}
 	w := &ColumnWriter{r: r}
-	w.cols = r.mutableColsEmptyOK()
+	w.cols = r.mutableCols()
 	w.rows = r.Len()
 	return w
 }

@@ -23,8 +23,9 @@ func NaiveJoin(rels []*Relation, outAttrs []string) *Relation {
 			return
 		}
 		r := rels[d]
+		var t Tuple
 		for i, n := 0, r.Len(); i < n; i++ {
-			t := r.Tuple(i)
+			t = r.Row(i, t)
 			ok := true
 			var bound []string
 			for j, a := range r.Attrs {

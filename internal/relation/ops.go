@@ -10,65 +10,32 @@ import (
 // the given order, with duplicates removed (set semantics, as required for
 // the val(A) intersections of the sampler and for trie construction).
 func (r *Relation) Project(attrs ...string) *Relation {
-	idx := make([]int, len(attrs))
-	for i, a := range attrs {
-		j := r.AttrIndex(a)
-		if j < 0 {
-			panic(fmt.Sprintf("relation %q: project on missing attribute %q", r.Name, a))
-		}
-		idx[i] = j
-	}
-	out := NewWithCapacity(r.Name+"_proj", r.Len(), attrs...)
-	row := make([]Value, len(attrs))
-	for i, n := 0, r.Len(); i < n; i++ {
-		t := r.Tuple(i)
-		for j, c := range idx {
-			row[j] = t[c]
-		}
-		out.AppendTuple(row)
-	}
-	return out.SortDedup()
+	return r.ProjectMulti(attrs...).SortDedup()
 }
 
 // ProjectMulti keeps duplicates (bag semantics); used where counts matter.
-// A columnar-resident receiver projects by whole-column copies and stays
-// columnar (the BinaryJoin output path), so projection costs one memcpy
-// per kept attribute instead of a row gather.
+// Projection copies each kept column whole.
 func (r *Relation) ProjectMulti(attrs ...string) *Relation {
-	idx := make([]int, len(attrs))
+	outCols := make([][]Value, len(attrs))
 	for i, a := range attrs {
 		j := r.AttrIndex(a)
 		if j < 0 {
 			panic(fmt.Sprintf("relation %q: project on missing attribute %q", r.Name, a))
 		}
-		idx[i] = j
+		outCols[i] = append([]Value(nil), r.cols[j]...)
 	}
-	if cs := r.colsView(); cs != nil {
-		outCols := make([][]Value, len(attrs))
-		for j, c := range idx {
-			outCols[j] = append([]Value(nil), cs[c]...)
-		}
-		return FromColumns(r.Name+"_proj", attrs, outCols)
-	}
-	out := NewWithCapacity(r.Name+"_proj", r.Len(), attrs...)
-	row := make([]Value, len(attrs))
-	for i, n := 0, r.Len(); i < n; i++ {
-		t := r.Tuple(i)
-		for j, c := range idx {
-			row[j] = t[c]
-		}
-		out.AppendTuple(row)
-	}
-	return out
+	return FromColumns(r.Name+"_proj", attrs, outCols)
 }
 
-// Filter returns the tuples for which keep returns true.
+// Filter returns the tuples for which keep returns true. keep sees a
+// gathered copy of each tuple, reused across calls.
 func (r *Relation) Filter(keep func(Tuple) bool) *Relation {
 	out := New(r.Name+"_filt", r.Attrs...)
+	var row Tuple
 	for i, n := 0, r.Len(); i < n; i++ {
-		t := r.Tuple(i)
-		if keep(t) {
-			out.AppendTuple(t)
+		row = r.Row(i, row)
+		if keep(row) {
+			out.AppendTuple(row)
 		}
 	}
 	return out
@@ -90,8 +57,8 @@ func (r *Relation) Distinct(a string) []Value {
 		panic(fmt.Sprintf("relation %q: distinct on missing attribute %q", r.Name, a))
 	}
 	seen := make(map[Value]struct{}, r.Len())
-	for i, n := 0, r.Len(); i < n; i++ {
-		seen[r.Tuple(i)[c]] = struct{}{}
+	for _, v := range r.cols[c] {
+		seen[v] = struct{}{}
 	}
 	out := make([]Value, 0, len(seen))
 	for v := range seen {
@@ -104,9 +71,8 @@ func (r *Relation) Distinct(a string) []Value {
 // Semijoin returns the tuples of r that join with at least one tuple of s on
 // the shared attributes `on` (which must exist in both schemas). This is the
 // database-reduction step of the distributed sampler (§IV of the paper) and
-// BigJoin's verify filter. The output keeps r's resident layout: a
-// columnar-resident receiver yields a columnar result via one exact-size
-// gather per column, so the next round's re-shuffle encodes with no pivot.
+// BigJoin's verify filter. The kept rows are gathered with one exact-size
+// pass per column.
 func (r *Relation) Semijoin(s *Relation, on []string) *Relation {
 	ri := make([]int, len(on))
 	si := make([]int, len(on))
@@ -120,45 +86,30 @@ func (r *Relation) Semijoin(s *Relation, on []string) *Relation {
 	keys := make(map[string]struct{}, s.Len())
 	kbuf := make([]Value, len(on))
 	for i, n := 0, s.Len(); i < n; i++ {
-		t := s.Tuple(i)
 		for j, c := range si {
-			kbuf[j] = t[c]
+			kbuf[j] = s.cols[c][i]
 		}
 		keys[encodeKey(kbuf)] = struct{}{}
 	}
-	out := New(r.Name, r.Attrs...)
-	if cs := r.colsView(); cs != nil {
-		n := r.Len()
-		keep := make([]int32, 0, n)
-		for i := 0; i < n; i++ {
-			for j, c := range ri {
-				kbuf[j] = cs[c][i]
-			}
-			if _, ok := keys[encodeKey(kbuf)]; ok {
-				keep = append(keep, int32(i))
-			}
-		}
-		outCols := make([][]Value, len(cs))
-		for j, col := range cs {
-			oc := make([]Value, len(keep))
-			for x, i := range keep {
-				oc[x] = col[i]
-			}
-			outCols[j] = oc
-		}
-		out.SetColumns(outCols)
-		return out
-	}
-	for i, n := 0, r.Len(); i < n; i++ {
-		t := r.Tuple(i)
+	n := r.Len()
+	keep := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
 		for j, c := range ri {
-			kbuf[j] = t[c]
+			kbuf[j] = r.cols[c][i]
 		}
 		if _, ok := keys[encodeKey(kbuf)]; ok {
-			out.AppendTuple(t)
+			keep = append(keep, int32(i))
 		}
 	}
-	return out
+	outCols := make([][]Value, len(r.cols))
+	for j, col := range r.cols {
+		oc := make([]Value, len(keep))
+		for x, i := range keep {
+			oc[x] = col[i]
+		}
+		outCols[j] = oc
+	}
+	return FromColumns(r.Name, r.Attrs, outCols)
 }
 
 // SemijoinValues keeps tuples whose attribute a takes a value in vals.
@@ -208,11 +159,8 @@ func HashJoin(r, s *Relation) *Relation {
 	return hashJoin(r, s, 0)
 }
 
-// hashJoin returns nil when the limit is exceeded. The output is built
-// columnar: every matched (probe, build) pair appends one value per output
-// column, so the result feeds the shuffle codec, the hash partitioner and
-// the trie builder in their native layout with no pivot — the path every
-// BinaryJoin intermediate and ADJ bag pre-computation round takes.
+// hashJoin returns nil when the limit is exceeded. Every matched (probe,
+// build) pair appends one value per output column.
 func hashJoin(r, s *Relation, limit int) *Relation {
 	shared := SharedAttrs(r, s)
 	// Build side: the smaller input.
@@ -244,9 +192,8 @@ func hashJoin(r, s *Relation, limit int) *Relation {
 	ht := make(map[string][]int, build.Len())
 	kbuf := make([]Value, len(shared))
 	for i, n := 0, build.Len(); i < n; i++ {
-		t := build.Tuple(i)
 		for j, c := range bi {
-			kbuf[j] = t[c]
+			kbuf[j] = build.cols[c][i]
 		}
 		k := encodeKey(kbuf)
 		ht[k] = append(ht[k], i)
@@ -255,28 +202,24 @@ func hashJoin(r, s *Relation, limit int) *Relation {
 	rk := len(r.Attrs)
 	count := 0
 	for i, n := 0, probe.Len(); i < n; i++ {
-		pt := probe.Tuple(i)
 		for j, c := range pi {
-			kbuf[j] = pt[c]
+			kbuf[j] = probe.cols[c][i]
 		}
 		matches, ok := ht[encodeKey(kbuf)]
 		if !ok {
 			continue
 		}
 		for _, m := range matches {
-			bt := build.Tuple(m)
-			var rt, st Tuple
+			ri, si := i, m
 			if swapped {
-				rt, st = bt, pt
-			} else {
-				rt, st = pt, bt
+				ri, si = m, i
 			}
 			// Keys are exact encodings, so shared attrs are equal here.
-			for j, v := range rt {
-				outCols[j] = append(outCols[j], v)
+			for j, col := range r.cols {
+				outCols[j] = append(outCols[j], col[ri])
 			}
 			for j, c := range sExtra {
-				outCols[rk+j] = append(outCols[rk+j], st[c])
+				outCols[rk+j] = append(outCols[rk+j], s.cols[c][si])
 			}
 			count++
 			if limit > 0 && count > limit {

@@ -3,6 +3,7 @@ package relation
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -18,7 +19,7 @@ func TestNewAndAppend(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("len=%d want 2", r.Len())
 	}
-	if got := r.Tuple(1); got[0] != 3 || got[1] != 4 {
+	if got := r.Row(1, nil); got[0] != 3 || got[1] != 4 {
 		t.Fatalf("tuple(1)=%v", got)
 	}
 }
@@ -42,8 +43,8 @@ func TestSortDedup(t *testing.T) {
 		t.Fatalf("len=%d want %d", r.Len(), len(want))
 	}
 	for i, w := range want {
-		if !reflect.DeepEqual([]Value(r.Tuple(i)), w) {
-			t.Errorf("tuple %d = %v want %v", i, r.Tuple(i), w)
+		if !reflect.DeepEqual([]Value(r.Row(i, nil)), w) {
+			t.Errorf("tuple %d = %v want %v", i, r.Row(i, nil), w)
 		}
 	}
 }
@@ -58,7 +59,7 @@ func TestSortProperty(t *testing.T) {
 		}
 		r.Sort()
 		for i := 1; i < r.Len(); i++ {
-			a, b := r.Tuple(i-1), r.Tuple(i)
+			a, b := r.Row(i-1, nil), r.Row(i, nil)
 			for j := 0; j < 3; j++ {
 				if a[j] < b[j] {
 					break
@@ -100,7 +101,7 @@ func TestProjectSetSemantics(t *testing.T) {
 	if p.Len() != 2 {
 		t.Fatalf("project(a) len=%d want 2", p.Len())
 	}
-	if p.Tuple(0)[0] != 1 || p.Tuple(1)[0] != 2 {
+	if p.Row(0, nil)[0] != 1 || p.Row(1, nil)[0] != 2 {
 		t.Fatalf("project values wrong: %v", p)
 	}
 	// Reordered projection.
@@ -141,7 +142,7 @@ func TestSemijoin(t *testing.T) {
 	if out.Len() != 2 {
 		t.Fatalf("semijoin len=%d want 2", out.Len())
 	}
-	if out.Tuple(0)[1] != 2 || out.Tuple(1)[1] != 4 {
+	if out.Row(0, nil)[1] != 2 || out.Row(1, nil)[1] != 4 {
 		t.Fatalf("semijoin tuples wrong: %v", out)
 	}
 }
@@ -164,8 +165,8 @@ func TestHashJoinBasic(t *testing.T) {
 		t.Fatalf("join len=%d want %d: %v", j.Len(), len(want), j)
 	}
 	for i, w := range want {
-		if !reflect.DeepEqual([]Value(j.Tuple(i)), w) {
-			t.Errorf("tuple %d = %v want %v", i, j.Tuple(i), w)
+		if !reflect.DeepEqual([]Value(j.Row(i, nil)), w) {
+			t.Errorf("tuple %d = %v want %v", i, j.Row(i, nil), w)
 		}
 	}
 	if !reflect.DeepEqual(j.Attrs, []string{"a", "b", "c"}) {
@@ -235,7 +236,7 @@ func TestPartitionBy(t *testing.T) {
 	// Same key -> same partition.
 	for pi, p := range parts {
 		for i := 0; i < p.Len(); i++ {
-			if HashValue(p.Tuple(i)[0], 7) != pi {
+			if HashValue(p.Row(i, nil)[0], 7) != pi {
 				t.Fatalf("tuple in wrong partition")
 			}
 		}
@@ -289,7 +290,7 @@ func TestRenamedSharesData(t *testing.T) {
 	r := FromTuples("R", []string{"a", "b"}, [][]Value{{1, 2}})
 	s := r.Renamed("S")
 	s.Attrs = []string{"x", "y"}
-	if s.Len() != 1 || s.Tuple(0)[0] != 1 {
+	if s.Len() != 1 || s.Row(0, nil)[0] != 1 {
 		t.Fatal("renamed relation lost data")
 	}
 	if r.Attrs[0] != "a" {
@@ -297,13 +298,48 @@ func TestRenamedSharesData(t *testing.T) {
 	}
 }
 
+// TestSortByColumns checks the permutation sort against a sort.SliceStable
+// oracle over gathered rows: arities 1–3, partial priority lists (the
+// unlisted columns break ties in schema order), and small domains so ties
+// on the listed columns are common.
 func TestSortByColumns(t *testing.T) {
-	r := FromTuples("R", []string{"a", "b"}, [][]Value{{2, 1}, {1, 2}, {2, 0}})
-	r.SortByColumns([]int{1})
-	// Sorted by b first.
-	bs := []Value{r.Tuple(0)[1], r.Tuple(1)[1], r.Tuple(2)[1]}
-	if !sort.SliceIsSorted(bs, func(i, j int) bool { return bs[i] < bs[j] }) {
-		t.Fatalf("not sorted by column b: %v", bs)
+	rng := rand.New(rand.NewSource(16))
+	attrs := []string{"a", "b", "c"}
+	for iter := 0; iter < 200; iter++ {
+		k := 1 + rng.Intn(3)
+		r := New("R", attrs[:k]...)
+		for i, n := 0, rng.Intn(60); i < n; i++ {
+			row := make([]Value, k)
+			for j := range row {
+				row[j] = rng.Int63n(4) - 2
+			}
+			r.AppendTuple(row)
+		}
+		prio := rng.Perm(k)[:rng.Intn(k+1)]
+		order := append([]int(nil), prio...)
+		for c := 0; c < k; c++ {
+			if !slices.Contains(prio, c) {
+				order = append(order, c)
+			}
+		}
+		want := make([][]Value, r.Len())
+		for i := range want {
+			want[i] = r.Row(i, nil)
+		}
+		sort.SliceStable(want, func(x, y int) bool {
+			for _, c := range order {
+				if want[x][c] != want[y][c] {
+					return want[x][c] < want[y][c]
+				}
+			}
+			return false
+		})
+		r.SortByColumns(prio)
+		for i := range want {
+			if got := r.Row(i, nil); !slices.Equal(got, want[i]) {
+				t.Fatalf("iter %d (arity %d, priority %v): row %d = %v, want %v", iter, k, prio, i, got, want[i])
+			}
+		}
 	}
 }
 

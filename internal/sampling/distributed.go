@@ -93,8 +93,8 @@ func DistributedEstimate(c *cluster.Cluster, relAttrs map[string][]string, order
 					set = make(map[relation.Value]bool)
 					perRel[name] = set
 				}
-				for i := 0; i < rel.Len(); i++ {
-					set[rel.Tuple(i)[0]] = true
+				for _, v := range rel.Column(0) {
+					set[v] = true
 				}
 			}
 			var local []relation.Value

@@ -10,9 +10,11 @@ import (
 // Builder constructs tries directly from a relation without the
 // materialize-copy → sort → dedup → FromSorted pipeline. It sorts a row
 // index column-wise with an LSD radix sort over the int64 values, then
-// writes exactly-sized Levels arrays in a single fill pass. All scratch
-// (index permutation, gathered column keys, first-difference marks) is
-// owned by the Builder and reused across builds, so a steady-state build
+// writes exactly-sized Levels arrays in one fill pass per level. Every
+// pass reads one contiguous relation column, so for pre-sorted input (the
+// shuffle-block common case) each pass is a pure sequential scan. All
+// scratch (index permutation, gathered column keys, first-difference marks)
+// is owned by the Builder and reused across builds, so a steady-state build
 // allocates only the trie's own 2k level arrays.
 //
 // A Builder is not safe for concurrent use; pool one per goroutine (the
@@ -23,8 +25,8 @@ type Builder struct {
 	keys    []uint64 // gathered (sign-flipped) column keys, aligned with idx
 	tmpKeys []uint64
 	cols    []int     // permuted column positions in the source relation
-	first   []int32   // first column where sorted row i differs from row i-1; k = duplicate
-	pcols   [][]Value // per-level column views for the columnar build path
+	first   []int32   // first level where sorted row i differs from row i-1; k = duplicate
+	pcols   [][]Value // per-level views of the source columns
 }
 
 // NewBuilder returns an empty builder; scratch grows on first use.
@@ -66,113 +68,7 @@ func (b *Builder) Build(r *relation.Relation, attrs []string) *Trie {
 		return t
 	}
 
-	if r.ColumnsResident() {
-		// Columnar fast path: every pass below becomes a per-column
-		// sequential scan instead of a stride-k walk over row blocks.
-		b.buildCols(t, r.Columns(), cols, k, n)
-		return t
-	}
-
-	data := r.Data()
-	b.grow(n)
-
-	// First-difference scan doubling as the sortedness check: first[i] is
-	// the first permuted column where row i differs from its predecessor
-	// (k means duplicate row); first[0] = 0, the first row opens a new node
-	// at every level. Pre-sorted input — the common case on the hot path,
-	// since base graph relations are stored sorted and shuffle blocks
-	// arrive as sorted runs — needs no sort and no second comparison pass.
-	first := b.first[:n]
-	first[0] = 0
-	sorted := true
-	for i := 1; i < n; i++ {
-		a := (i - 1) * k
-		c := i * k
-		f := int32(k)
-		for d := 0; d < k; d++ {
-			va, vc := data[a+cols[d]], data[c+cols[d]]
-			if va != vc {
-				if vc < va {
-					sorted = false
-				}
-				f = int32(d)
-				break
-			}
-		}
-		if !sorted {
-			break
-		}
-		first[i] = f
-	}
-	var idx []int32
-	if sorted {
-		idx = b.idx[:n]
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-	} else {
-		idx = b.sortRows(data, cols, k, n)
-		for i := 1; i < n; i++ {
-			a := int(idx[i-1]) * k
-			c := int(idx[i]) * k
-			f := int32(k)
-			for d := 0; d < k; d++ {
-				if data[a+cols[d]] != data[c+cols[d]] {
-					f = int32(d)
-					break
-				}
-			}
-			first[i] = f
-		}
-	}
-
-	// Counting pass: nodes[d] = number of trie nodes at level d.
-	nodes := make([]int32, k)
-	tuples := 0
-	for i := 0; i < n; i++ {
-		f := first[i]
-		if f == int32(k) {
-			continue // duplicate
-		}
-		tuples++
-		for d := int(f); d < k; d++ {
-			nodes[d]++
-		}
-	}
-	t.NumTuples = tuples
-
-	// Allocate exact-size level arrays.
-	for d := 0; d < k; d++ {
-		parents := int32(1)
-		if d > 0 {
-			parents = nodes[d-1]
-		}
-		t.Levels[d].Vals = make([]Value, 0, nodes[d])
-		t.Levels[d].Starts = make([]int32, 0, parents+1)
-	}
-	t.Levels[0].Starts = append(t.Levels[0].Starts, 0)
-
-	// Fill pass: a row with first-difference f creates one new node at every
-	// level ≥ f. Creating a node at level d opens a fresh child range at
-	// level d+1, whose start is recorded before any of its children land.
-	for i := 0; i < n; i++ {
-		f := first[i]
-		if f == int32(k) {
-			continue
-		}
-		row := int(idx[i]) * k
-		for d := int(f); d < k; d++ {
-			lvl := &t.Levels[d]
-			lvl.Vals = append(lvl.Vals, data[row+cols[d]])
-			if d+1 < k {
-				nl := &t.Levels[d+1]
-				nl.Starts = append(nl.Starts, int32(len(nl.Vals)))
-			}
-		}
-	}
-	for d := 0; d < k; d++ {
-		t.Levels[d].Starts = append(t.Levels[d].Starts, int32(len(t.Levels[d].Vals)))
-	}
+	b.buildCols(t, r.Columns(), cols, k, n)
 	return t
 }
 
@@ -187,46 +83,126 @@ func (b *Builder) grow(n int) {
 	}
 }
 
-// sortRows returns a permutation of [0,n) ordering rows lexicographically by
-// the permuted columns. Small inputs use insertion sort; larger ones an LSD
-// radix sort (stable byte passes per column, last column first), skipping
-// byte positions that are constant across the column.
-func (b *Builder) sortRows(data []Value, cols []int, k, n int) []int32 {
-	idx := b.idx[:n]
-	for i := range idx {
-		idx[i] = int32(i)
+// buildCols fills t from per-attribute column slices; rcols is indexed by
+// source column position, cols maps trie level d to its source column.
+func (b *Builder) buildCols(t *Trie, rcols [][]Value, cols []int, k, n int) {
+	b.grow(n)
+	if cap(b.pcols) < k {
+		b.pcols = make([][]Value, k)
 	}
-	if n < 48 {
-		insertionSortRows(idx, data, cols, k)
-		return idx
+	pcols := b.pcols[:k]
+	for d := 0; d < k; d++ {
+		pcols[d] = rcols[cols[d]]
 	}
-	keys := b.keys[:n]
-	tmpIdx := b.tmpIdx[:n]
-	tmpKeys := b.tmpKeys[:n]
-	for c := k - 1; c >= 0; c-- {
-		col := cols[c]
-		min, max := ^uint64(0), uint64(0)
-		for i, r := range idx {
-			u := uint64(data[int(r)*k+col]) ^ signFlip
-			keys[i] = u
-			if u < min {
-				min = u
-			}
-			if u > max {
-				max = u
+
+	// First-difference marks, column-major: first[i] ends up as the first
+	// trie level where row i differs from row i-1 (k = duplicate). Scanning
+	// levels from deepest to shallowest makes the last write the smallest
+	// differing level, and each scan is one sequential pass over a column.
+	first := b.first[:n]
+	first[0] = 0
+	for i := 1; i < n; i++ {
+		first[i] = int32(k)
+	}
+	for d := k - 1; d >= 0; d-- {
+		col := pcols[d]
+		for i := 1; i < n; i++ {
+			if col[i] != col[i-1] {
+				first[i] = int32(d)
 			}
 		}
-		if min == max {
+	}
+	// Sortedness check: a row pair's order is decided at its first
+	// differing level.
+	sorted := true
+	for i := 1; i < n; i++ {
+		if f := first[i]; f < int32(k) && pcols[f][i] < pcols[f][i-1] {
+			sorted = false
+			break
+		}
+	}
+
+	idx := b.idx[:n]
+	if sorted {
+		for i := range idx {
+			idx[i] = int32(i)
+		}
+	} else {
+		idx = b.sortIndex(pcols, k, n)
+		for i := 1; i < n; i++ {
+			a, c := idx[i-1], idx[i]
+			f := int32(k)
+			for d := 0; d < k; d++ {
+				if pcols[d][a] != pcols[d][c] {
+					f = int32(d)
+					break
+				}
+			}
+			first[i] = f
+		}
+		first[0] = 0
+	}
+
+	// Counting pass: nodes[d] = rows with first ≤ d = trie nodes at level d.
+	nodes := make([]int32, k)
+	for i := 0; i < n; i++ {
+		if f := first[i]; f < int32(k) {
+			nodes[f]++
+		}
+	}
+	for d := 1; d < k; d++ {
+		nodes[d] += nodes[d-1]
+	}
+	t.NumTuples = int(nodes[k-1])
+
+	for d := 0; d < k; d++ {
+		parents := int32(1)
+		if d > 0 {
+			parents = nodes[d-1]
+		}
+		t.Levels[d].Vals = make([]Value, 0, nodes[d])
+		t.Levels[d].Starts = make([]int32, 0, parents+1)
+	}
+	t.Levels[0].Starts = append(t.Levels[0].Starts, 0)
+
+	// Fill, level-major: creating a node at level d-1 opens a fresh child
+	// range at level d (its start recorded before the row's own value
+	// lands); a row with first-difference f contributes a value to every
+	// level ≥ f. Each level reads exactly one column.
+	for d := 0; d < k; d++ {
+		lvl := &t.Levels[d]
+		col := pcols[d]
+		if d == 0 {
+			for i := 0; i < n; i++ {
+				if first[i] == 0 {
+					lvl.Vals = append(lvl.Vals, col[idx[i]])
+				}
+			}
 			continue
 		}
-		idx, tmpIdx, keys, tmpKeys = radixPasses(idx, tmpIdx, keys, tmpKeys, min, max)
+		df := int32(d)
+		for i := 0; i < n; i++ {
+			f := first[i]
+			if f < df {
+				lvl.Starts = append(lvl.Starts, int32(len(lvl.Vals)))
+			}
+			if f <= df {
+				lvl.Vals = append(lvl.Vals, col[idx[i]])
+			}
+		}
 	}
-	return idx
+	for d := 0; d < k; d++ {
+		t.Levels[d].Starts = append(t.Levels[d].Starts, int32(len(t.Levels[d].Vals)))
+	}
+	// Drop the column references before the Builder returns to its pool:
+	// a pooled Builder must not pin the source relation's data alive.
+	for d := range pcols {
+		pcols[d] = nil
+	}
 }
 
 // radixPasses runs the stable LSD byte passes over keys (skipping byte
 // positions constant across [min, max]) and returns the rotated buffers.
-// Shared by the row-major and columnar sort paths.
 func radixPasses(idx, tmpIdx []int32, keys, tmpKeys []uint64, min, max uint64) ([]int32, []int32, []uint64, []uint64) {
 	// Bytes strictly above the highest differing byte are constant.
 	hi := 0
@@ -259,13 +235,52 @@ func radixPasses(idx, tmpIdx []int32, keys, tmpKeys []uint64, min, max uint64) (
 	return idx, tmpIdx, keys, tmpKeys
 }
 
-// insertionSortRows sorts idx by lexicographic row comparison; used for the
-// tiny relations where radix setup costs more than it saves.
-func insertionSortRows(idx []int32, data []Value, cols []int, k int) {
+// sortIndex returns a permutation of [0,n) ordering rows lexicographically
+// by the per-level columns. Small inputs use insertion sort; larger ones an
+// LSD radix sort (stable byte passes per column, last level first, each
+// key gather reading the one contiguous column pcols[c]), skipping byte
+// positions that are constant across the column.
+func (b *Builder) sortIndex(pcols [][]Value, k, n int) []int32 {
+	idx := b.idx[:n]
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	if n < 48 {
+		insertionSortIndex(idx, pcols)
+		return idx
+	}
+	keys := b.keys[:n]
+	tmpIdx := b.tmpIdx[:n]
+	tmpKeys := b.tmpKeys[:n]
+	for c := k - 1; c >= 0; c-- {
+		col := pcols[c]
+		min, max := ^uint64(0), uint64(0)
+		for i, r := range idx {
+			u := uint64(col[r]) ^ signFlip
+			keys[i] = u
+			if u < min {
+				min = u
+			}
+			if u > max {
+				max = u
+			}
+		}
+		if min == max {
+			continue
+		}
+		idx, tmpIdx, keys, tmpKeys = radixPasses(idx, tmpIdx, keys, tmpKeys, min, max)
+	}
+	return idx
+}
+
+// insertionSortIndex sorts idx by lexicographic row comparison over
+// column slices; used for the tiny relations where radix setup costs more
+// than it saves.
+func insertionSortIndex(idx []int32, pcols [][]Value) {
 	for i := 1; i < len(idx); i++ {
 		x := idx[i]
 		j := i - 1
-		for j >= 0 && rowLess(data, cols, k, x, idx[j]) {
+		for j >= 0 && indexLess(pcols, x, idx[j]) {
 			idx[j+1] = idx[j]
 			j--
 		}
@@ -273,10 +288,9 @@ func insertionSortRows(idx []int32, data []Value, cols []int, k int) {
 	}
 }
 
-func rowLess(data []Value, cols []int, k int, a, b int32) bool {
-	ra, rb := int(a)*k, int(b)*k
-	for _, c := range cols {
-		va, vb := data[ra+c], data[rb+c]
+func indexLess(pcols [][]Value, a, b int32) bool {
+	for _, col := range pcols {
+		va, vb := col[a], col[b]
 		if va != vb {
 			return va < vb
 		}

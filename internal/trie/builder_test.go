@@ -12,19 +12,7 @@ import (
 // relation, SortDedup, FromSorted), kept as the test oracle and the
 // benchmark baseline for the radix builder.
 func buildReference(r *relation.Relation, attrs []string) *Trie {
-	cols := make([]int, len(attrs))
-	for i, a := range attrs {
-		cols[i] = r.AttrIndex(a)
-	}
-	perm := relation.NewWithCapacity(r.Name, r.Len(), attrs...)
-	row := make([]Value, len(attrs))
-	for i, n := 0, r.Len(); i < n; i++ {
-		t := r.Tuple(i)
-		for j, c := range cols {
-			row[j] = t[c]
-		}
-		perm.AppendTuple(row)
-	}
+	perm := r.ProjectMulti(attrs...)
 	perm.SortDedup()
 	return FromSorted(perm)
 }
@@ -59,11 +47,12 @@ func triesEqual(a, b *Trie) bool {
 
 // Property: the radix builder produces a structurally identical trie to the
 // reference sort+dedup pipeline on randomized relations — including
-// permuted column orders, duplicates, negative values and sizes on both
-// sides of the insertion-sort/radix cutoff.
+// permuted column orders, duplicates, negative values, sizes on both sides
+// of the insertion-sort/radix cutoff, and input already sorted in trie
+// order (the builder's no-sort fast path).
 func TestBuilderMatchesReference(t *testing.T) {
 	b := NewBuilder()
-	f := func(seed int64, arityRaw, sizeClass uint8) bool {
+	f := func(seed int64, arityRaw, sizeClass uint8, presorted bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		arity := int(arityRaw%4) + 1
 		var n int
@@ -93,6 +82,13 @@ func TestBuilderMatchesReference(t *testing.T) {
 		}
 		attrs := append([]string(nil), names...)
 		rng.Shuffle(arity, func(i, j int) { attrs[i], attrs[j] = attrs[j], attrs[i] })
+		if presorted {
+			prio := make([]int, arity)
+			for i, a := range attrs {
+				prio[i] = r.AttrIndex(a)
+			}
+			r.SortByColumns(prio)
+		}
 		want := buildReference(r, attrs)
 		if !triesEqual(b.Build(r, attrs), want) {
 			return false
@@ -100,7 +96,7 @@ func TestBuilderMatchesReference(t *testing.T) {
 		// The pooled package-level Build must agree too.
 		return triesEqual(Build(r, attrs), want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 240}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -48,13 +48,13 @@ func Merge(ts []*Trie) *Trie {
 
 // merger holds the pooled k-way merge state: tuple streams (iterator +
 // current-tuple buffer each), the stream heap's item slice, the dedup
-// buffer and the staging relation's row backing.
+// buffer and the staging relation's column backing.
 type merger struct {
 	streams []tupleStream
 	h       streamHeap
 	last    []Value
 	out     relation.Relation
-	data    []Value
+	cols    [][]Value
 }
 
 var mergePool = sync.Pool{New: func() interface{} { return &merger{} }}
@@ -86,16 +86,23 @@ func (m *merger) merge(ts []*Trie) *Trie {
 	m.h.k = k
 	heap.Init(&m.h)
 	// Stage the merged, deduplicated rows in a pooled relation; FromSorted
-	// copies them into fresh level arrays, so the backing returns to the
+	// copies them into fresh level arrays, so the columns return to the
 	// pool afterwards.
 	out := &m.out
 	out.Name = "merged"
 	out.Attrs = attrs
-	need := totalTuples(ts) * k
-	if cap(m.data) < need {
-		m.data = make([]Value, 0, need)
+	need := totalTuples(ts)
+	if cap(m.cols) < k {
+		m.cols = make([][]Value, k)
 	}
-	out.SetData(m.data[:0])
+	m.cols = m.cols[:k]
+	for j, col := range m.cols {
+		if cap(col) < need {
+			col = make([]Value, 0, need)
+		}
+		m.cols[j] = col[:0]
+	}
+	out.SetColumns(m.cols)
 	if cap(m.last) < k {
 		m.last = make([]Value, k)
 	}
@@ -115,10 +122,10 @@ func (m *merger) merge(ts []*Trie) *Trie {
 		}
 	}
 	t := FromSorted(out)
-	// Reclaim the (possibly grown) backing and drop the borrowed schema.
-	m.data = out.Data()[:0]
+	// The staging relation shares m.cols, so the pool keeps its backing;
+	// drop the borrowed schema.
 	out.Attrs = nil
-	out.SetData(m.data)
+	out.SetColumns(nil)
 	// Drop every input-trie reference before the merger parks in the pool:
 	// callers (the block cache in particular) release their part tries
 	// after merging, and a pooled stream slot must not pin them. Clearing

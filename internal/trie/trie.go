@@ -79,9 +79,10 @@ func FromSorted(r *relation.Relation) *Trie {
 		lvl.Starts = make([]int32, 0, parents+1)
 		newGroup := make([]int32, n)
 		prevParent := int32(-1)
+		col := r.Column(d)
 		for i := 0; i < n; i++ {
 			p := group[i]
-			v := r.Tuple(i)[d]
+			v := col[i]
 			if p != prevParent {
 				// Starting a new parent: close out starts up to p.
 				for int32(len(lvl.Starts)) <= p {
