@@ -33,6 +33,13 @@ type BlockID struct {
 // complete set of non-empty block signatures a shuffle of that relation
 // produces. A warm shuffle needs the manifest plus every listed block; if
 // eviction broke the set, the relation falls back to a cold shuffle.
+//
+// Alongside its manifests the store remembers each content's tuple count
+// (Size). An engine-materialized relation's size picks the shuffle's
+// shares, and the shares pick the layout, so a warm execution needs the
+// size before it can address a manifest without re-materializing the
+// relation. The size is dropped together with any manifest of its content,
+// which keeps the size records bounded by the manifests and so by the LRU.
 type ManifestID struct {
 	Content uint64
 	Layout  uint64
@@ -66,6 +73,7 @@ type Store struct {
 	entries   map[BlockID]*storeEntry
 	lru       *list.List // front = most recently used; values are *storeEntry
 	manifests map[ManifestID][]int
+	sizes     map[uint64]int64 // content -> tuple count; see ManifestID
 
 	hits, misses, evictions int64
 }
@@ -85,6 +93,7 @@ func NewStore(budgetBytes int64) *Store {
 		entries:   make(map[BlockID]*storeEntry),
 		lru:       list.New(),
 		manifests: make(map[ManifestID][]int),
+		sizes:     make(map[uint64]int64),
 	}
 }
 
@@ -106,7 +115,7 @@ func (s *Store) Put(id BlockID, t *trie.Trie) {
 		// The rejection counts as an eviction: the block was offered and
 		// not retained.
 		s.evictions++
-		delete(s.manifests, ManifestID{id.Content, id.Layout})
+		s.dropManifest(ManifestID{id.Content, id.Layout})
 		if e, ok := s.entries[id]; ok {
 			s.lru.Remove(e.elem)
 			delete(s.entries, id)
@@ -146,18 +155,25 @@ func (s *Store) evictOver() {
 		// warm shuffle; dropping it keeps the manifest map bounded by the
 		// LRU too (stale contents age out with their blocks instead of
 		// accumulating over a session's lifetime of re-registrations).
-		delete(s.manifests, ManifestID{e.id.Content, e.id.Layout})
+		s.dropManifest(ManifestID{e.id.Content, e.id.Layout})
 	}
 }
 
+// dropManifest forgets one manifest and its content's size record. Called
+// with the lock held.
+func (s *Store) dropManifest(id ManifestID) {
+	delete(s.manifests, id)
+	delete(s.sizes, id.Content)
+}
+
 // PutManifest records the complete signature set of one (content, layout)
-// after a cold shuffle published all its blocks. sigs is copied. If any
-// listed block is not resident — rejected as oversized, or already evicted
-// by the publishes that followed it — the manifest is dropped instead of
-// stored: a manifest that can never be served would otherwise make every
-// later execution walk it, miss, fall back cold and re-publish, churning
-// the store on each run.
-func (s *Store) PutManifest(id ManifestID, sigs []int) {
+// after a cold shuffle published all its blocks, plus the content's tuple
+// count (see Size). sigs is copied. If any listed block is not resident —
+// rejected as oversized, or already evicted by the publishes that followed
+// it — the manifest is dropped instead of stored: a manifest that can
+// never be served would otherwise make every later execution walk it,
+// miss, fall back cold and re-publish, churning the store on each run.
+func (s *Store) PutManifest(id ManifestID, sigs []int, size int64) {
 	if s == nil {
 		return
 	}
@@ -165,11 +181,26 @@ func (s *Store) PutManifest(id ManifestID, sigs []int) {
 	defer s.mu.Unlock()
 	for _, sig := range sigs {
 		if _, ok := s.entries[BlockID{id.Content, id.Layout, sig}]; !ok {
-			delete(s.manifests, id)
+			s.dropManifest(id)
 			return
 		}
 	}
 	s.manifests[id] = append([]int(nil), sigs...)
+	s.sizes[id.Content] = size
+}
+
+// Size returns the tuple count recorded with content's manifests. ok is
+// false when no manifest of content survives. The lookup touches no
+// recency and counts neither a hit nor a miss: the Snapshot that follows
+// it does.
+func (s *Store) Size(content uint64) (int64, bool) {
+	if s == nil {
+		return 0, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n, ok := s.sizes[content]
+	return n, ok
 }
 
 // Snapshot returns every block trie of one (content, layout) keyed by block

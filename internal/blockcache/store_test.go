@@ -25,13 +25,13 @@ func TestStorePutSnapshot(t *testing.T) {
 	if _, ok := s.Snapshot(mid); ok {
 		t.Fatal("snapshot without manifest must miss")
 	}
-	s.PutManifest(mid, []int{0, 3})
+	s.PutManifest(mid, []int{0, 3}, 7)
 	blocks, ok := s.Snapshot(mid)
 	if !ok || len(blocks) != 2 || blocks[0] != tr || blocks[3] != tr {
 		t.Fatalf("snapshot = %v ok=%v", blocks, ok)
 	}
 	// Missing block breaks the whole snapshot.
-	s.PutManifest(ManifestID{Content: 9, Layout: 9}, []int{1})
+	s.PutManifest(ManifestID{Content: 9, Layout: 9}, []int{1}, 7)
 	if _, ok := s.Snapshot(ManifestID{Content: 9, Layout: 9}); ok {
 		t.Fatal("snapshot with evicted block must miss")
 	}
@@ -44,7 +44,7 @@ func TestStorePutSnapshot(t *testing.T) {
 func TestStoreEmptyManifest(t *testing.T) {
 	s := NewStore(0)
 	mid := ManifestID{Content: 5, Layout: 5}
-	s.PutManifest(mid, nil)
+	s.PutManifest(mid, nil, 0)
 	blocks, ok := s.Snapshot(mid)
 	if !ok || len(blocks) != 0 {
 		t.Fatalf("empty manifest snapshot = %v ok=%v", blocks, ok)
@@ -73,13 +73,51 @@ func TestStoreLRUEviction(t *testing.T) {
 		t.Fatal("sig 4 should be resident")
 	}
 	// Touching sig 2 via a manifest snapshot protects it from the next Put.
-	s.PutManifest(ManifestID{1, 1}, []int{2})
+	s.PutManifest(ManifestID{1, 1}, []int{2}, 1)
 	if _, ok := s.Snapshot(ManifestID{1, 1}); !ok {
 		t.Fatal("sig 2 should be resident")
 	}
 	s.Put(BlockID{1, 1, 5}, tr)
 	if _, ok := s.entries[BlockID{1, 1, 2}]; !ok {
 		t.Fatal("recently-used sig 2 evicted before older entries")
+	}
+}
+
+// The size recorded with a manifest lives exactly as long as the
+// content's manifests: it is readable once the manifest lands, never
+// counted as a hit or miss, and gone once eviction or a refused manifest
+// drops a manifest of that content.
+func TestStoreSizeRecord(t *testing.T) {
+	tr := testTrie(t, "R", 32)
+	s := NewStore(2 * tr.MemBytes())
+	if _, ok := s.Size(1); ok {
+		t.Fatal("size known before any manifest")
+	}
+	s.Put(BlockID{1, 1, 0}, tr)
+	s.PutManifest(ManifestID{1, 1}, []int{0}, 42)
+	if n, ok := s.Size(1); !ok || n != 42 {
+		t.Fatalf("Size(1) = %d, %v; want 42, true", n, ok)
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("size lookups counted as store traffic: %+v", st)
+	}
+	// A manifest naming a non-resident block is refused, and the refusal
+	// drops the content's size with it.
+	s.Put(BlockID{2, 1, 0}, tr)
+	s.PutManifest(ManifestID{2, 1}, []int{0}, 9)
+	s.PutManifest(ManifestID{2, 1}, []int{0, 5}, 9)
+	if _, ok := s.Size(2); ok {
+		t.Fatal("size survived a refused manifest")
+	}
+	// Two more blocks overflow the two-block budget: content 1's block is
+	// the least recently used, so its manifest and size go.
+	s.Put(BlockID{3, 1, 0}, tr)
+	s.Put(BlockID{3, 1, 1}, tr)
+	if _, ok := s.Size(1); ok {
+		t.Fatal("size survived the eviction of its manifest's block")
+	}
+	if len(s.sizes) > len(s.manifests) {
+		t.Fatalf("%d size records for %d manifests", len(s.sizes), len(s.manifests))
 	}
 }
 

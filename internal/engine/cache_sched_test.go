@@ -112,7 +112,7 @@ func TestCachedVsRebuiltCubeTries(t *testing.T) {
 			c.LoadDatabase(rels)
 			if err := hcube.Run(c, "shuffle", hcube.Plan{
 				Shares: shares, Rels: info, Kind: kind, TrieOrder: order,
-			}); err != nil {
+			}, nil); err != nil {
 				t.Fatal(err)
 			}
 			snap := make(map[string]string)

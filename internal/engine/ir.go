@@ -72,6 +72,16 @@ type progState struct {
 	// published collects the shuffle plans to Publish on success, in
 	// execution order.
 	published []hcube.Plan
+	// resolved holds the shuffles planned before the walk from sizes the
+	// session store remembers (keyed by op ID), with their store snapshot.
+	resolved map[int]resolvedShuffle
+}
+
+// resolvedShuffle is one shuffle's executable plan and the store snapshot
+// taken for it.
+type resolvedShuffle struct {
+	plan hcube.Plan
+	warm hcube.Warm
 }
 
 type lfResult struct {
@@ -86,8 +96,19 @@ func runProgram(c *cluster.Cluster, prog *plan.Program, rels []*relation.Relatio
 	if err := prog.Validate(); err != nil {
 		return err
 	}
-	st := &progState{lf: make(map[int]lfResult), shuffles: make(map[int]hcube.Plan)}
+	st := &progState{
+		lf:       make(map[int]lfResult),
+		shuffles: make(map[int]hcube.Plan),
+		resolved: make(map[int]resolvedShuffle),
+	}
+	skip, err := resolveWarm(c, prog, st, cfg, rep)
+	if err != nil {
+		return err
+	}
 	for _, op := range prog.Ops {
+		if skip[op.ID] {
+			continue
+		}
 		if err := ctxErr(cfg); err != nil {
 			return err
 		}
@@ -165,18 +186,127 @@ func runOp(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 	}
 }
 
-// runShuffle executes one HCube exchange: re-gather dynamic sizes,
-// optimize shares (charged to the optimize phase when the plan says so),
-// enforce the memory bound, and run the shuffle with session reuse wired.
+// resolveWarm plans, before the walk, every Shuffle whose relation sizes
+// are known without running the program: static sizes from the plan, and
+// for Dynamic relations (materialized by upstream ops) the size the
+// session store recorded with their tries. The sizes pick the shares and
+// the shares key the store, so each such shuffle takes its store snapshot
+// here, once. When the snapshot covers every Dynamic relation, they are
+// adopted from the store, and the ops that only materialize them are
+// returned as the skip set: ADJ's pre-compute chain and Hybrid's semijoin
+// reductions. Without a store it returns at once.
+func resolveWarm(c *cluster.Cluster, prog *plan.Program, st *progState, cfg Config, rep *Report) (map[int]bool, error) {
+	if cfg.Reuse == nil || cfg.Reuse.Store == nil {
+		return nil, nil
+	}
+	warmShuffles := make(map[int]bool)
+	for _, op := range prog.Ops {
+		if op.Kind != plan.Shuffle {
+			continue
+		}
+		sizes, ok := rememberedSizes(op, cfg)
+		if !ok {
+			continue
+		}
+		sp, err := planShuffle(c, op, sizes, cfg, rep)
+		if err != nil {
+			return nil, err
+		}
+		warm := sp.Snapshot()
+		st.resolved[op.ID] = resolvedShuffle{plan: sp, warm: warm}
+		warmShuffles[op.ID] = true
+		for _, rr := range op.Rels {
+			if _, ok := warm[rr.Name]; rr.Dynamic && !ok {
+				warmShuffles[op.ID] = false
+			}
+		}
+	}
+	return skipSet(prog, warmShuffles), nil
+}
+
+// rememberedSizes returns the sizes of op's relations when the store
+// remembers the size of every Dynamic one (static relations carry their
+// plan-time size).
+func rememberedSizes(op *plan.Op, cfg Config) ([]int64, bool) {
+	sizes := make([]int64, len(op.Rels))
+	for i, rr := range op.Rels {
+		sizes[i] = rr.Size
+		if !rr.Dynamic {
+			continue
+		}
+		sig, ok := relSig(cfg, op.ReuseID, rr.Name)
+		if !ok {
+			return nil, false
+		}
+		if sizes[i], ok = cfg.Reuse.Store.Size(sig); !ok {
+			return nil, false
+		}
+	}
+	return sizes, true
+}
+
+// skipSet returns the ops whose every consumer is a fully warm shuffle
+// (warm[id] true) or another skipped op: their outputs are only read by
+// shuffles that adopt them from the store. An op with any other consumer,
+// or none, always runs.
+func skipSet(prog *plan.Program, warm map[int]bool) map[int]bool {
+	consumers := make([][]int, len(prog.Ops))
+	for _, op := range prog.Ops {
+		for _, in := range op.Inputs {
+			consumers[in] = append(consumers[in], op.ID)
+		}
+	}
+	skip := make(map[int]bool)
+	// Consumers follow their inputs, so a reverse walk decides every
+	// consumer before its producers.
+	for id := len(prog.Ops) - 1; id >= 0; id-- {
+		skip[id] = len(consumers[id]) > 0
+		for _, cid := range consumers[id] {
+			if !warm[cid] && !skip[cid] {
+				skip[id] = false
+				break
+			}
+		}
+	}
+	return skip
+}
+
+// runShuffle executes one HCube exchange. A shuffle resolveWarm already
+// planned runs on that plan and snapshot; any other gathers its Dynamic
+// sizes from the worker fragments, plans, and takes its snapshot now.
 func runShuffle(c *cluster.Cluster, op *plan.Op, st *progState, cfg Config, rep *Report) error {
+	r, ok := st.resolved[op.ID]
+	if !ok {
+		sizes := make([]int64, len(op.Rels))
+		for i, rr := range op.Rels {
+			sizes[i] = rr.Size
+			if rr.Dynamic {
+				name := rr.Name
+				sizes[i] = c.GatherCounts(func(w *cluster.Worker) int64 { return int64(w.LocalSize(name)) })
+			}
+		}
+		sp, err := planShuffle(c, op, sizes, cfg, rep)
+		if err != nil {
+			return err
+		}
+		r = resolvedShuffle{plan: sp, warm: sp.Snapshot()}
+	}
+	if err := hcube.Run(c, op.Phase, r.plan, r.warm); err != nil {
+		return err
+	}
+	st.shuffles[op.ID] = r.plan
+	st.published = append(st.published, r.plan)
+	return nil
+}
+
+// planShuffle turns a Shuffle op and its relations' sizes into an
+// executable hcube plan: optimize shares (charged to the optimize phase
+// when the plan says so), enforce the memory bound, and wire session
+// reuse.
+func planShuffle(c *cluster.Cluster, op *plan.Op, sizes []int64, cfg Config, rep *Report) (hcube.Plan, error) {
 	infos := make([]hcube.RelInfo, len(op.Rels))
 	for i, rr := range op.Rels {
-		size := rr.Size
-		if rr.Dynamic {
-			name := rr.Name
-			size = c.GatherCounts(func(w *cluster.Worker) int64 { return int64(w.LocalSize(name)) })
-		}
-		infos[i] = hcube.RelInfo{Name: rr.Name, Attrs: rr.Attrs, Size: size}
+		infos[i] = hcube.RelInfo{Name: rr.Name, Attrs: rr.Attrs, Size: sizes[i]}
 	}
 	t0 := time.Now()
 	shares, err := hcube.Optimize(infos, hcube.Config{
@@ -187,7 +317,7 @@ func runShuffle(c *cluster.Cluster, op *plan.Op, st *progState, cfg Config, rep 
 		MemoryPerServer: cfg.MemoryPerServer,
 	})
 	if err != nil {
-		return err
+		return hcube.Plan{}, err
 	}
 	if op.ChargeOptimize {
 		// The HCubeJ family charges share optimization to the paper's
@@ -202,19 +332,12 @@ func runShuffle(c *cluster.Cluster, op *plan.Op, st *progState, cfg Config, rep 
 	if cfg.MemoryPerServer > 0 && hcube.LoadPerCube(infos, shares) > float64(cfg.MemoryPerServer) {
 		rep.Failed = true
 		rep.FailReason = "memory"
-		return errRunFailed
+		return hcube.Plan{}, errRunFailed
 	}
-	kind := shuffleKindOf(op, cfg)
-	sp := hcube.Plan{
-		Shares: shares, Rels: infos, Kind: kind, TrieOrder: op.Order,
+	return hcube.Plan{
+		Shares: shares, Rels: infos, Kind: shuffleKindOf(op, cfg), TrieOrder: op.Order,
 		Reuse: shuffleReuse(cfg, planID, infos),
-	}
-	if err := hcube.Run(c, op.Phase, sp); err != nil {
-		return err
-	}
-	st.shuffles[op.ID] = sp
-	st.published = append(st.published, sp)
-	return nil
+	}, nil
 }
 
 // shuffleKindOf resolves the HCube implementation: the run config's

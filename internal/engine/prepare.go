@@ -158,16 +158,27 @@ func shuffleReuse(cfg Config, planID string, infos []hcube.RelInfo) *hcube.Reuse
 	}
 	sigs := make(map[string]uint64, len(infos))
 	for _, ri := range infos {
-		if s, ok := cfg.Reuse.Sigs[ri.Name]; ok {
-			sigs[ri.Name] = s
-			continue
-		}
-		if len(cfg.Reuse.Sigs) == 0 {
+		s, ok := relSig(cfg, planID, ri.Name)
+		if !ok {
 			return nil
 		}
-		sigs[ri.Name] = derivedSig(planID, ri.Name, cfg.Reuse.Sigs)
+		sigs[ri.Name] = s
 	}
 	return &hcube.Reuse{Store: cfg.Reuse.Store, Sigs: sigs}
+}
+
+// relSig is the content signature one shuffle keys relation name by: the
+// session's registered signature, or the provenance signature of an
+// engine-materialized relation. ok is false when the session lists no
+// signatures to derive from. cfg.Reuse must be non-nil.
+func relSig(cfg Config, planID, name string) (uint64, bool) {
+	if s, ok := cfg.Reuse.Sigs[name]; ok {
+		return s, true
+	}
+	if len(cfg.Reuse.Sigs) == 0 {
+		return 0, false
+	}
+	return derivedSig(planID, name, cfg.Reuse.Sigs), true
 }
 
 // derivedSig fingerprints an engine-materialized relation by provenance:

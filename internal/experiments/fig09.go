@@ -35,7 +35,7 @@ func Fig9(cfg Config) (Result, error) {
 			}
 			if err := hcube.Run(c, "shuffle", hcube.Plan{
 				Shares: shares, Rels: infos, Kind: kind, TrieOrder: order,
-			}); err != nil {
+			}, nil); err != nil {
 				return res, err
 			}
 			// Receiver-side trie construction: materialize every cube trie

@@ -214,7 +214,7 @@ func TestShuffleJoinEqualsSequential(t *testing.T) {
 					return false
 				}
 				plan := Plan{Shares: shares, Rels: info, Kind: kind, TrieOrder: order}
-				if err := Run(c, "shuffle", plan); err != nil {
+				if err := Run(c, "shuffle", plan, nil); err != nil {
 					t.Logf("shuffle: %v", err)
 					return false
 				}
@@ -306,7 +306,7 @@ func TestShuffleKindsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Run(c, "shuffle", Plan{Shares: shares, Rels: info, Kind: kind, TrieOrder: order}); err != nil {
+		if err := Run(c, "shuffle", Plan{Shares: shares, Rels: info, Kind: kind, TrieOrder: order}, nil); err != nil {
 			t.Fatal(err)
 		}
 		snap := make(map[string]string)
@@ -347,7 +347,7 @@ func TestShuffleCostOrdering(t *testing.T) {
 	for _, kind := range []Kind{Push, Pull, Merge} {
 		c := cluster.New(cluster.Config{N: 8})
 		c.LoadDatabase(rels)
-		if err := Run(c, "sh", Plan{Shares: shares, Rels: info, Kind: kind, TrieOrder: order}); err != nil {
+		if err := Run(c, "sh", Plan{Shares: shares, Rels: info, Kind: kind, TrieOrder: order}, nil); err != nil {
 			t.Fatal(err)
 		}
 		msgs[kind] = c.Metrics.Phase("sh").Messages
@@ -401,7 +401,7 @@ func TestShuffleColumnarFragmentsMatchRowMajor(t *testing.T) {
 				c := cluster.New(cluster.Config{N: n, Sequential: true})
 				c.LoadDatabase(rels)
 				plan := Plan{Shares: shares, Rels: info, Kind: kind, TrieOrder: order}
-				if err := Run(c, "shuffle", plan); err != nil {
+				if err := Run(c, "shuffle", plan, nil); err != nil {
 					t.Fatal(err)
 				}
 				for cube := range routed {

@@ -101,14 +101,22 @@ func (p Plan) layoutSig(ri RelInfo) uint64 {
 	return h.Sum()
 }
 
-// warmRels returns, per relation name, the store's complete block-trie set
-// for relations the session store can serve without a shuffle. Relations
-// missing a manifest (or any evicted block) are omitted and run cold.
-func (p Plan) warmRels() map[string]map[int]*trie.Trie {
+// Warm holds, per relation name, the complete block-trie set the session
+// store can serve for a shuffle (see Plan.Snapshot). Relations absent from
+// it run the normal exchange.
+type Warm map[string]map[int]*trie.Trie
+
+// Snapshot looks up, once per relation, the store's complete block-trie
+// set for relations the session store can serve without a shuffle.
+// Relations missing a manifest (or any evicted block) are omitted and run
+// cold. Each lookup counts in the store's hit/miss statistics, so a run
+// takes one snapshot per shuffle and hands it to Run. The snapshot holds
+// the tries themselves: an eviction after it is taken does not break it.
+func (p Plan) Snapshot() Warm {
 	if p.Reuse == nil || p.Reuse.Store == nil || len(p.TrieOrder) == 0 {
 		return nil
 	}
-	var warm map[string]map[int]*trie.Trie
+	var warm Warm
 	for _, ri := range p.Rels {
 		content, ok := p.Reuse.Sigs[ri.Name]
 		if !ok {
@@ -119,7 +127,7 @@ func (p Plan) warmRels() map[string]map[int]*trie.Trie {
 			continue
 		}
 		if warm == nil {
-			warm = make(map[string]map[int]*trie.Trie)
+			warm = make(Warm)
 		}
 		warm[ri.Name] = blocks
 	}
@@ -132,7 +140,7 @@ func (p Plan) warmRels() map[string]map[int]*trie.Trie {
 // attribute names and deposited pre-built (requests count as cache hits,
 // never builds), and the matching cubes are bound — exactly the bindings a
 // cold shuffle's consume phase would have produced.
-func adoptWarm(w *cluster.Worker, p Plan, warm map[string]map[int]*trie.Trie) {
+func adoptWarm(w *cluster.Worker, p Plan, warm Warm) {
 	for _, ri := range p.Rels {
 		blocks, ok := warm[ri.Name]
 		if !ok {
@@ -168,9 +176,10 @@ func adoptWarm(w *cluster.Worker, p Plan, warm map[string]map[int]*trie.Trie) {
 
 // Publish deposits a completed run's built block tries into the session
 // store, then records each fully-built relation's manifest — the complete
-// signature set a later execution needs to go warm. Call it after the join
-// phase (block tries are built lazily at first cube use, so they only
-// exist once every cube has run). Adopted (warm) blocks skip the store
+// signature set a later execution needs to go warm — with the relation's
+// tuple count (RelInfo.Size). Call it after the join phase (block tries
+// are built lazily at first cube use, so they only exist once every cube
+// has run). Adopted (warm) blocks skip the store
 // deposit — their tries are already resident — but still count toward
 // their relation's manifest, which is re-recorded idempotently; a relation
 // with any block still unbuilt skips its manifest write (and PutManifest
@@ -184,6 +193,7 @@ func Publish(c *cluster.Cluster, p Plan) {
 	type relState struct {
 		sigs     map[int]bool
 		complete bool
+		size     int64
 	}
 	states := make(map[string]*relState, len(p.Rels))
 	layouts := make(map[string]uint64, len(p.Rels))
@@ -191,7 +201,7 @@ func Publish(c *cluster.Cluster, p Plan) {
 		if _, ok := p.Reuse.Sigs[ri.Name]; !ok {
 			continue
 		}
-		states[ri.Name] = &relState{sigs: make(map[int]bool), complete: true}
+		states[ri.Name] = &relState{sigs: make(map[int]bool), complete: true, size: ri.Size}
 		layouts[ri.Name] = p.layoutSig(ri)
 	}
 	if len(states) == 0 {
@@ -229,7 +239,7 @@ func Publish(c *cluster.Cluster, p Plan) {
 		p.Reuse.Store.PutManifest(blockcache.ManifestID{
 			Content: p.Reuse.Sigs[name],
 			Layout:  layouts[name],
-		}, sigs)
+		}, sigs, st.size)
 	}
 }
 
@@ -238,15 +248,15 @@ func Publish(c *cluster.Cluster, p Plan) {
 // assigned cubes, ready for lazy per-cube trie assembly; the legacy
 // Push/Pull path without a TrieOrder materializes raw cube databases
 // instead. Phase metrics accrue under the given phase name.
-func Run(c *cluster.Cluster, phase string, p Plan) error {
+//
+// warm is the plan's store snapshot (Plan.Snapshot; nil without reuse).
+// Its relations skip the exchange entirely — no encode, no wire, no
+// shuffle-side trie build — and every worker adopts its share of the
+// published tries during consume.
+func Run(c *cluster.Cluster, phase string, p Plan, warm Warm) error {
 	for _, w := range c.Workers {
 		w.ResetCubes()
 	}
-	// Warm relations: the session store still holds the complete block-trie
-	// set for this content and layout, so they skip the exchange entirely —
-	// no encode, no wire, no shuffle-side trie build — and every worker
-	// adopts its share of the published tries during consume.
-	warm := p.warmRels()
 	switch p.Kind {
 	case Push:
 		return runPush(c, phase, p, warm)
@@ -296,7 +306,7 @@ func (p Plan) attrsByRel() map[string][]string {
 // signature and the destination cube ("rel@sig#cube") so the receiver can
 // deposit each sender's chunk once into the block cache while still
 // binding every replicated cube.
-func runPush(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]*trie.Trie) error {
+func runPush(c *cluster.Cluster, phase string, p Plan, warm Warm) error {
 	return c.StreamExchange(phase,
 		func(w *cluster.Worker, s cluster.StreamSender) error {
 			for _, ri := range p.Rels {
@@ -348,7 +358,7 @@ func runPush(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]*
 // measures is chunking-invariant. Receivers deposit each chunk as one more
 // tuple part of its block — the lazy trie build concatenates, sorts and
 // dedups parts, so chunk granularity never changes the built trie.
-func runPull(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]*trie.Trie) error {
+func runPull(c *cluster.Cluster, phase string, p Plan, warm Warm) error {
 	return c.StreamExchange(phase,
 		func(w *cluster.Worker, s cluster.StreamSender) error {
 			for _, ri := range p.Rels {
@@ -456,7 +466,7 @@ func runPull(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]*
 // merge happens lazily at a cube's first use, and a block shared by many
 // cubes is decoded and (when it is a relation's only block on the cube)
 // merged exactly once.
-func runMerge(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]*trie.Trie) error {
+func runMerge(c *cluster.Cluster, phase string, p Plan, warm Warm) error {
 	if len(p.TrieOrder) == 0 {
 		return fmt.Errorf("hcube merge: TrieOrder required")
 	}

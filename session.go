@@ -39,11 +39,12 @@ type TrieStoreStats = blockcache.StoreStats
 // an LRU byte budget: a cold execution publishes the block tries its HCube
 // shuffle built, and every later execution over unchanged relation content
 // adopts them directly — no HCube shuffle traffic and zero shuffle-side
-// trie builds (Report.TrieBuilds == 0 on a warm run). One exchange is not
-// yet warm: an ADJ plan that pre-computes a bag re-runs the bag's
-// distributed hash joins, with their exchanges, on every Exec, even
-// though the pre-computed relation's tries are then adopted from the
-// store (an open defect; see ROADMAP).
+// trie builds (Report.TrieBuilds == 0 on a warm run). Relations a plan
+// materializes itself go warm too: the store remembers the size of an ADJ
+// plan's pre-computed bag (and of Hybrid's semijoin-reduced core
+// relations), so a warm execution plans the shuffle from that size and
+// skips the joins that would re-materialize it (Report.PreComputing == 0,
+// Report.TuplesShuffled == 0).
 //
 // A Session is safe for concurrent use and executes concurrently: it owns
 // a small pool of resident clusters (Options.Concurrency), and Exec calls
@@ -401,9 +402,10 @@ func WithTenant(tenant string) ExecOption {
 //
 // Executions over unchanged registered relations go warm: the shuffle is
 // skipped and every block trie is adopted from the shared store
-// (Report.TrieBuilds == 0, Report.TrieCacheHits > 0). A shed, expired or
-// failed execution leaves the pool fully healthy and the warm store
-// intact.
+// (Report.TrieBuilds == 0, Report.TrieCacheHits > 0). A pre-computed bag
+// whose tries are resident is not re-materialized either: its joins are
+// skipped (Report.PreComputing == 0). A shed, expired or failed execution
+// leaves the pool fully healthy and the warm store intact.
 func (p *PreparedQuery) Exec(ctx context.Context, opts ...ExecOption) (*Results, error) {
 	eo := execOpts{class: Interactive}
 	for _, o := range opts {
